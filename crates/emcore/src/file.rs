@@ -18,7 +18,8 @@
 //!   may fail transiently, tear the write, corrupt the payload, or crash.
 //! * On the file backend, each block is stored with an 8-byte checksum of
 //!   its payload ([`crate::block_checksum`]) at a fixed slot after the
-//!   block's full capacity; every read verifies it and surfaces
+//!   block's full capacity. A read fetches the whole stride in one
+//!   transfer, verifies the checksum before decoding, and surfaces
 //!   [`EmError::Corrupt`] on mismatch (this is what catches torn writes and
 //!   silent corruption). The memory backend has no checksums — in-flight
 //!   read corruption there is silent, which is exactly the danger checksums
@@ -344,30 +345,27 @@ impl<T: Record> EmFile<T> {
             Storage::Disk { file, .. } => {
                 use std::os::unix::fs::FileExt;
                 let bytes = count * T::BYTES;
-                let off = block * self.disk_stride();
+                let cap_bytes = self.block_capacity() * T::BYTES;
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.resize(bytes + CHECKSUM_BYTES, 0);
-                    let (payload, sum) = sc.split_at_mut(bytes);
-                    file.read_exact_at(payload, off)?;
-                    file.read_exact_at(sum, off + (self.block_capacity() * T::BYTES) as u64)?;
+                    // One transfer of the whole stride: payload capacity,
+                    // then the checksum slot.
+                    sc.resize(cap_bytes + CHECKSUM_BYTES, 0);
+                    file.read_exact_at(sc, block * self.disk_stride())?;
+                    let (payload, sum) = sc.split_at_mut(cap_bytes);
+                    let payload = &mut payload[..bytes];
                     if matches!(injected, Injected::Corrupt) && bytes > 0 {
                         payload[0] ^= 1;
                     }
-                    let stored =
-                        u64::from_le_bytes(sum.try_into().map_err(|_| EmError::Corrupt {
-                            block,
-                            file: self.id,
-                        })?);
-                    if block_checksum(payload) != stored {
+                    let mut stored = [0u8; CHECKSUM_BYTES];
+                    stored.copy_from_slice(sum);
+                    if block_checksum(payload) != u64::from_le_bytes(stored) {
                         self.ctx.stats().record_corrupt_read();
                         return Err(EmError::Corrupt {
                             block,
                             file: self.id,
                         });
                     }
-                    for i in 0..count {
-                        buf.push(T::read_bytes(&payload[i * T::BYTES..]));
-                    }
+                    buf.extend(payload.chunks_exact(T::BYTES).map(T::read_bytes));
                     Ok(())
                 })?;
                 self.ctx
@@ -438,11 +436,15 @@ impl<T: Record> EmFile<T> {
                 let cap_bytes = self.ctx.config().block_records_for_width(T::WORDS) * T::BYTES;
                 let off = slot * ((cap_bytes + CHECKSUM_BYTES) as u64);
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.clear();
+                    // Encode straight over the scratch's previous contents:
+                    // every byte of the stride is rewritten below, and only
+                    // a partial block's slack needs zeroing, so the bytes
+                    // on disk stay deterministic.
                     sc.resize(cap_bytes + CHECKSUM_BYTES, 0);
-                    for (i, r) in data.iter().enumerate() {
-                        r.write_bytes(&mut sc[i * T::BYTES..(i + 1) * T::BYTES]);
+                    for (r, out) in data.iter().zip(sc.chunks_exact_mut(T::BYTES)) {
+                        r.write_bytes(out);
                     }
+                    sc[bytes..cap_bytes].fill(0);
                     // Checksum covers the payload as it *should* be; a
                     // corrupting fault damages the payload after this point so
                     // the damage is detectable on read.
@@ -817,6 +819,70 @@ mod tests {
             .collect();
         let f = EmFile::from_slice(&ctx, &data).unwrap();
         assert_eq!(f.to_vec().unwrap(), data);
+    }
+
+    /// Round-trips every length `0..=3·cap+1` (so every partial-tail shape)
+    /// through the directory backend, then damages each byte of every
+    /// block's payload and checksum slot on disk in turn: each must surface
+    /// as `Corrupt` for exactly that block and bump `corrupt_reads`.
+    fn disk_roundtrip_and_flipped_bytes<T: Record + PartialEq>(make: impl Fn(u64) -> T) {
+        use std::os::unix::fs::FileExt;
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let cap = ctx.config().block_records_for_width(T::WORDS);
+        let cap_bytes = cap * T::BYTES;
+        let stride = (cap_bytes + CHECKSUM_BYTES) as u64;
+        for len in 0..=3 * cap as u64 + 1 {
+            let data: Vec<T> = (0..len).map(&make).collect();
+            let f = EmFile::from_slice(&ctx, &data).unwrap();
+            assert_eq!(f.to_vec().unwrap(), data, "len {len}");
+            let raw = std::fs::read(ctx.file_path(f.id()).unwrap()).unwrap();
+            assert_eq!(raw.len() as u64, f.num_blocks() * stride, "len {len}");
+            if let Some(last) = f.num_blocks().checked_sub(1) {
+                // A partial tail's slack is zeroed, whatever the encode
+                // scratch held from the previous (full) block.
+                let start = (last * stride) as usize + f.block_len(last) * T::BYTES;
+                let end = (last * stride) as usize + cap_bytes;
+                assert!(raw[start..end].iter().all(|&b| b == 0), "len {len}");
+            }
+        }
+
+        let data: Vec<T> = (0..3 * cap as u64 + 1).map(&make).collect();
+        let f = EmFile::from_slice(&ctx, &data).unwrap();
+        let disk = File::options()
+            .read(true)
+            .write(true)
+            .open(ctx.file_path(f.id()).unwrap())
+            .unwrap();
+        let mut buf = Vec::new();
+        for block in 0..f.num_blocks() {
+            let payload = 0..f.block_len(block) * T::BYTES;
+            let slot = cap_bytes..cap_bytes + CHECKSUM_BYTES;
+            for at in payload.chain(slot) {
+                let pos = block * stride + at as u64;
+                let mut byte = [0u8];
+                disk.read_exact_at(&mut byte, pos).unwrap();
+                disk.write_all_at(&[!byte[0]], pos).unwrap();
+                let before = ctx.stats().snapshot().corrupt_reads;
+                let err = f.read_block_into(block, &mut buf).unwrap_err();
+                assert!(
+                    matches!(err, EmError::Corrupt { block: b, .. } if b == block),
+                    "block {block} byte {at}: {err:?}"
+                );
+                assert_eq!(ctx.stats().snapshot().corrupt_reads, before + 1);
+                disk.write_all_at(&byte, pos).unwrap();
+            }
+        }
+        assert_eq!(f.to_vec().unwrap(), data);
+    }
+
+    #[test]
+    fn disk_single_read_roundtrip_and_corruption_u64() {
+        disk_roundtrip_and_flipped_bytes(|i| !i);
+    }
+
+    #[test]
+    fn disk_single_read_roundtrip_and_corruption_indexed() {
+        disk_roundtrip_and_flipped_bytes(|i| crate::Indexed::new(!i ^ (i << 40), i));
     }
 
     #[test]

@@ -33,9 +33,14 @@
 //! ## Document format
 //!
 //! ```text
-//! emjournal v1 <kind> <state-version> <body-bytes> <checksum-hex>\n
+//! emjournal v2 <kind> <state-version> <body-bytes> <checksum-hex>\n
 //! <body…>
 //! ```
+//!
+//! The format version moves with the block checksum: `v2` is the first
+//! version whose checksum (and whose data files' per-block checksums) are
+//! the word-wise [`crate::block_checksum`]. A store written by an older
+//! build is refused at load with an error naming its format version.
 //!
 //! The body encoding belongs to the [`JournalState`] implementor; the
 //! convention in this workspace is line-oriented `key value…` text.
@@ -46,9 +51,13 @@ use crate::checksum::block_checksum;
 use crate::ctx::EmContext;
 use crate::error::{EmError, Result};
 
-/// Magic + format version of the journal envelope (the *state* carries its
-/// own version on top of this).
-const MAGIC: &str = "emjournal v1";
+/// Magic word opening every journal document.
+const MAGIC: &str = "emjournal";
+
+/// Format version of the journal envelope and of the block checksum it and
+/// the store's data files use (the *state* carries its own version on top
+/// of this).
+const FORMAT_VERSION: &str = "v2";
 
 /// State that can be persisted in a [`Journal`].
 ///
@@ -134,7 +143,7 @@ impl Journal {
         let mut body = String::new();
         state.encode(&mut body);
         let doc = format!(
-            "{MAGIC} {} {} {} {:016x}\n{body}",
+            "{MAGIC} {FORMAT_VERSION} {} {} {} {:016x}\n{body}",
             S::KIND,
             S::VERSION,
             body.len(),
@@ -188,10 +197,17 @@ impl Journal {
             EmError::config(format!("journal {}: missing header line", self.name))
         })?;
         let fields: Vec<&str> = header.split(' ').collect();
-        if fields.len() != 6 || fields[0] != "emjournal" || fields[1] != "v1" {
+        if fields.len() != 6 || fields[0] != MAGIC {
             return Err(EmError::config(format!(
                 "journal {}: bad header {header:?}",
                 self.name
+            )));
+        }
+        if fields[1] != FORMAT_VERSION {
+            return Err(EmError::config(format!(
+                "journal {}: format version {} where {FORMAT_VERSION} was expected \
+                 (written by an incompatible build)",
+                self.name, fields[1]
             )));
         }
         if fields[2] != S::KIND {
@@ -398,6 +414,19 @@ mod tests {
         .unwrap();
         assert!(j.load::<Other>().is_err());
         assert!(j.load::<DemoV2>().is_err());
+
+        // A document in an older envelope format is refused by its format
+        // version, not mistaken for a torn or corrupt body.
+        let body = "phase 0\n";
+        let v1 = format!(
+            "emjournal v1 demo 1 {} {:016x}\n{body}",
+            body.len(),
+            block_checksum(body.as_bytes())
+        );
+        ctx.journal_put("demo-state", v1);
+        let err = j.load::<Demo>().unwrap_err().to_string();
+        assert!(err.contains("format version v1"), "{err}");
+        assert!(!err.contains("torn or corrupt"), "{err}");
     }
 
     #[test]
