@@ -61,11 +61,7 @@ pub use partitioning::{
     approx_partitioning, approx_partitioning_with, PartitionOptions, Partitioning,
 };
 pub use precise::{precise_partitioning, precise_via_approx, precise_via_approx_with_step};
-#[allow(deprecated)]
-pub use recover::resume_approx_partitioning;
-pub use recover::{
-    approx_partitioning_recoverable, PartitionJob, PartitionManifest, PARTITION_JOURNAL,
-};
+pub use recover::{approx_partitioning_recoverable, PartitionManifest, PARTITION_JOURNAL};
 pub use spec::{Groundedness, ProblemSpec, ProblemSpecBuilder};
 pub use splitters::{approx_splitters, approx_splitters_with, SplitOptions};
 pub use verify::{

@@ -27,8 +27,8 @@
 //! ## Example: crash and resume
 //!
 //! ```
-//! use apsplit::{PartitionJob, PartitionManifest, ProblemSpec};
-//! use emcore::{run_recoverable, EmConfig, EmContext, EmError, EmFile, FaultPlan};
+//! use apsplit::{PartitionManifest, ProblemSpec};
+//! use emcore::{EmConfig, EmContext, EmError, EmFile, FaultPlan};
 //!
 //! let ctx = EmContext::new_in_memory(EmConfig::tiny());
 //! let data: Vec<u64> = (0..4000).rev().collect();
@@ -38,20 +38,14 @@
 //! let plan = FaultPlan::new(0).fatal_at(400);
 //! ctx.install_fault_plan(plan.clone());
 //! let mut m = PartitionManifest::new(&input, &spec).unwrap();
-//! assert!(matches!(
-//!     run_recoverable(&ctx, &mut PartitionJob::new(&input, &mut m)),
-//!     Err(EmError::Crashed)
-//! ));
+//! assert!(matches!(m.run(&input), Err(EmError::Crashed)));
 //! plan.clear_crash();
-//! let parts = run_recoverable(&ctx, &mut PartitionJob::new(&input, &mut m)).unwrap();
+//! let parts = m.run(&input).unwrap();
 //! assert_eq!(parts.len(), 8);
 //! assert_eq!(parts.iter().map(|p| p.len()).sum::<u64>(), 4000);
 //! ```
 
-use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
-};
+use emcore::{Checkpoint, EmContext, EmError, EmFile, JournalState, Record, Result};
 use emselect::{split_at_rank_segs, Partition};
 
 use crate::partitioning::{target_sizes, PartitionOptions, Partitioning};
@@ -195,14 +189,11 @@ impl JournalState for PartImage {
 
 /// Checkpointed state of a recoverable approximate partitioning. Owns the
 /// completed partitions and the pending split-tree nodes; survives any
-/// number of failed [`resume_approx_partitioning`] attempts.
+/// number of failed [`PartitionManifest::run`] attempts.
 #[derive(Debug)]
 pub struct PartitionManifest<T: Record> {
-    ctx: EmContext,
     spec: ProblemSpec,
     opts: PartitionOptions,
-    /// Input file identity `(id, len)`.
-    input: (u64, u64),
     /// Cumulative target partition sizes (`cum[i]` = records in
     /// partitions `0..=i`).
     cum: Vec<u64>,
@@ -210,11 +201,9 @@ pub struct PartitionManifest<T: Record> {
     slots: Vec<Option<Partition<T>>>,
     /// Pending nodes, processed LIFO (leftmost-deepest first).
     work: Vec<Node<T>>,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
+    /// Journal, input binding (fixed at construction) and unit
+    /// accounting.
+    cp: Checkpoint,
 }
 
 impl<T: Record> PartitionManifest<T> {
@@ -228,7 +217,6 @@ impl<T: Record> PartitionManifest<T> {
     /// strategy is consulted).
     pub fn new_with(input: &EmFile<T>, spec: &ProblemSpec, opts: PartitionOptions) -> Result<Self> {
         check_input(input, spec)?;
-        let ctx = input.ctx().clone();
         let sizes = target_sizes(spec);
         let k = sizes.len();
         debug_assert_eq!(k, spec.k as usize);
@@ -239,11 +227,9 @@ impl<T: Record> PartitionManifest<T> {
             cum.push(acc);
         }
         debug_assert_eq!(acc, spec.n);
-        let journal = Journal::new(&ctx, PARTITION_JOURNAL).expect("valid journal name");
         Ok(Self {
             spec: *spec,
             opts,
-            input: (input.id(), input.len()),
             cum,
             slots: (0..k).map(|_| None).collect(),
             work: vec![Node {
@@ -251,29 +237,28 @@ impl<T: Record> PartitionManifest<T> {
                 hi: k - 1,
                 segs: None,
             }],
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
-            ctx,
+            cp: Checkpoint::new(
+                input.ctx(),
+                PARTITION_JOURNAL,
+                Some((input.id(), input.len())),
+            ),
         })
     }
 
     /// Whether partitioning has completed and yielded its output.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.cp.is_done()
     }
 
     /// Completed work units so far (each one a checkpoint).
     pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
+        self.cp.checkpoints()
     }
 
     /// Largest I/O cost of any single completed work unit — the empirical
     /// bound on crash rework.
     pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
+        self.cp.max_unit_ios()
     }
 
     /// The problem spec this manifest was created for.
@@ -284,18 +269,19 @@ impl<T: Record> PartitionManifest<T> {
     /// A human-readable snapshot of the manifest.
     pub fn describe(&self) -> String {
         let mut s = String::from("em-partition-manifest v1\n");
-        self.image().encode(&mut s);
+        self.image(self.cp.checkpoints()).encode(&mut s);
         s
     }
 
-    fn image(&self) -> PartImage {
+    fn image(&self, checkpoints: u64) -> PartImage {
         let seg_ids = |p: &Partition<T>| -> Vec<(u64, u64)> {
             p.segments().iter().map(|s| (s.id(), s.len())).collect()
         };
         PartImage {
-            input: self.input,
+            // Bound at construction.
+            input: self.cp.input().unwrap_or_default(),
             spec: (self.spec.n, self.spec.k, self.spec.a, self.spec.b),
-            checkpoints: self.checkpoints,
+            checkpoints,
             slots: self
                 .slots
                 .iter()
@@ -318,105 +304,33 @@ impl<T: Record> PartitionManifest<T> {
         }
     }
 
-    fn begin_unit(&mut self) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, self.ctx.stats().snapshot())
+    /// Record a completed work unit: durably commit the manifest image.
+    fn commit(&mut self) -> Result<()> {
+        self.cp.commit(&self.image(self.cp.checkpoints() + 1))
     }
 
-    fn end_unit(&mut self, redo: bool, before: Counters) {
-        let spent = self.ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            self.ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
-    }
-}
-
-/// The checkpointed approximate partitioning as a [`RecoverableJob`]:
-/// drive it with [`emcore::run_recoverable`]. Borrows the input and its
-/// manifest for the duration of one resume attempt; build a fresh job
-/// value per attempt.
-#[derive(Debug)]
-pub struct PartitionJob<'a, T: Record> {
-    input: &'a EmFile<T>,
-    manifest: &'a mut PartitionManifest<T>,
-}
-
-impl<'a, T: Record> PartitionJob<'a, T> {
-    /// A job that partitions `input` per `manifest`'s problem spec.
-    pub fn new(input: &'a EmFile<T>, manifest: &'a mut PartitionManifest<T>) -> Self {
-        Self { input, manifest }
-    }
-}
-
-impl<T: Record> RecoverableJob for PartitionJob<'_, T> {
-    type Output = Partitioning<T>;
-
-    fn kind(&self) -> &'static str {
-        "resume_approx_partitioning"
-    }
-
-    fn journal_name(&self) -> &'static str {
-        PARTITION_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        // Identity was bound at `PartitionManifest::new`; only verify.
-        if self.manifest.input != (self.input.id(), self.input.len()) {
-            return Err(EmError::config(format!(
-                "resume_approx_partitioning: manifest belongs to input (id {}, len {}), \
-                 got (id {}, len {})",
-                self.manifest.input.0,
-                self.manifest.input.1,
-                self.input.id(),
-                self.input.len()
-            )));
-        }
-        Ok(())
-    }
-
-    fn drive(&mut self, ctx: &EmContext) -> Result<Partitioning<T>> {
-        let phase = ctx.stats().phase_guard("approx-partitioning/recoverable");
-        let r = resume_inner(self.input, self.manifest, ctx);
-        drop(phase);
-        r
+    /// Drive the partitioning of `input` forward from wherever this
+    /// manifest left off, until completion or the next terminal error.
+    /// Idempotent over failures: only the interrupted split is redone on
+    /// the next call.
+    pub fn run(&mut self, input: &EmFile<T>) -> Result<Partitioning<T>> {
+        self.cp.start(input.id(), input.len())?;
+        let ctx = self.cp.ctx().clone();
+        let _phase = ctx.stats().phase_guard("approx-partitioning/recoverable");
+        resume_inner(input, self, &ctx)
     }
 }
 
 /// One-shot recoverable approximate partitioning with default options —
 /// realises exactly the sizes of [`crate::approx_partitioning`], with
 /// checkpointing overhead. Use [`PartitionManifest::new`] +
-/// [`PartitionJob`] + [`emcore::run_recoverable`] directly to keep the
-/// manifest across failures.
+/// [`PartitionManifest::run`] directly to keep the manifest across
+/// failures.
 pub fn approx_partitioning_recoverable<T: Record>(
     input: &EmFile<T>,
     spec: &ProblemSpec,
 ) -> Result<Partitioning<T>> {
-    let mut manifest = PartitionManifest::new(input, spec)?;
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut PartitionJob::new(input, &mut manifest))
-}
-
-/// Drive the partitioning of `input` forward from wherever `manifest` left
-/// off, until completion or the next terminal error. Idempotent over
-/// failures: only the interrupted split is redone on the next call.
-#[deprecated(note = "use emcore::run_recoverable with apsplit::PartitionJob")]
-pub fn resume_approx_partitioning<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut PartitionManifest<T>,
-) -> Result<Partitioning<T>> {
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut PartitionJob::new(input, manifest))
+    PartitionManifest::new(input, spec)?.run(input)
 }
 
 fn resume_inner<T: Record>(
@@ -426,7 +340,7 @@ fn resume_inner<T: Record>(
 ) -> Result<Partitioning<T>> {
     let strategy = manifest.opts.strategy;
     while !manifest.work.is_empty() {
-        let (redo, before) = manifest.begin_unit();
+        let unit = manifest.cp.begin_unit();
         let (lo, hi, is_root) = {
             let nd = manifest.work.last().expect("non-empty work stack");
             (nd.lo, nd.hi, nd.segs.is_none())
@@ -442,8 +356,8 @@ fn resume_inner<T: Record>(
             for s in lo..=hi {
                 manifest.slots[s] = Some(Partition::empty());
             }
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.commit()?;
+            manifest.cp.end_unit(unit);
             continue;
         }
 
@@ -467,8 +381,8 @@ fn resume_inner<T: Record>(
             manifest.work.pop();
             manifest.slots[lo] = Some(part);
             // ---- checkpoint: partition `lo`'s segments are durable ----
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.commit()?;
+            manifest.cp.end_unit(unit);
             continue;
         }
 
@@ -481,8 +395,8 @@ fn resume_inner<T: Record>(
                 manifest.slots[s] = Some(Partition::empty());
             }
             manifest.work.last_mut().expect("non-empty").lo = mid + 1;
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.commit()?;
+            manifest.cp.end_unit(unit);
             continue;
         }
         if cut == node_len {
@@ -491,8 +405,8 @@ fn resume_inner<T: Record>(
                 manifest.slots[s] = Some(Partition::empty());
             }
             manifest.work.last_mut().expect("non-empty").hi = mid;
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.commit()?;
+            manifest.cp.end_unit(unit);
             continue;
         }
 
@@ -522,14 +436,14 @@ fn resume_inner<T: Record>(
             segs: Some(low.into_segments()),
         });
         // ---- checkpoint: both children's segment lists are durable ----
-        manifest.checkpoint()?;
+        manifest.commit()?;
         // Only now may the parent's (non-root) input segments be released.
         if let Some(segs) = parent.segs {
             for s in &segs {
                 s.set_persistent(false);
             }
         }
-        manifest.end_unit(redo, before);
+        manifest.cp.end_unit(unit);
     }
 
     let parts: Partitioning<T> = manifest
@@ -543,8 +457,7 @@ fn resume_inner<T: Record>(
             s.set_persistent(false);
         }
     }
-    manifest.done = true;
-    manifest.journal.remove()?;
+    manifest.cp.finish()?;
     Ok(parts)
 }
 
@@ -558,14 +471,6 @@ mod tests {
         let mut v: Vec<u64> = (0..n).collect();
         SplitMix64::new(seed).shuffle(&mut v);
         v
-    }
-
-    /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_approx_partitioning` is only a deprecated shim over
-    /// exactly this.)
-    fn resume(f: &EmFile<u64>, m: &mut PartitionManifest<u64>) -> Result<Partitioning<u64>> {
-        let c = f.ctx().clone();
-        run_recoverable(&c, &mut PartitionJob::new(f, m))
     }
 
     fn flat(parts: &[Partition<u64>]) -> Vec<u64> {
@@ -622,10 +527,7 @@ mod tests {
         assert!(stats.journal_writes > 0);
     }
 
-    // Keeps the deprecated `resume_approx_partitioning` shim covered until
-    // it is removed; every other test resumes via `run_recoverable`.
     #[test]
-    #[allow(deprecated)]
     fn crash_and_resume_preserves_output_and_bounds_rework() {
         let n = 5000u64;
         let spec = ProblemSpec::new(n, 8, 100, 3000).unwrap();
@@ -645,7 +547,7 @@ mod tests {
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
         let mut crashes = 0;
         let parts = loop {
-            match resume_approx_partitioning(&f, &mut m) {
+            match m.run(&f) {
                 Ok(parts) => break parts,
                 Err(EmError::Crashed) => {
                     crashes += 1;
@@ -674,11 +576,11 @@ mod tests {
         let spec = ProblemSpec::new(200, 4, 20, 100).unwrap();
         let f = EmFile::from_slice(&c, &shuffled(200, 60)).unwrap();
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
-        let _ = resume(&f, &mut m).unwrap();
-        assert!(matches!(resume(&f, &mut m), Err(EmError::Config(_))));
+        let _ = m.run(&f).unwrap();
+        assert!(matches!(m.run(&f), Err(EmError::Config(_))));
         let g = EmFile::from_slice(&c, &[1u64, 2]).unwrap();
         let mut m2 = PartitionManifest::new(&f, &spec).unwrap();
-        assert!(matches!(resume(&g, &mut m2), Err(EmError::Config(_))));
+        assert!(matches!(m2.run(&g), Err(EmError::Config(_))));
     }
 
     #[test]
@@ -693,10 +595,10 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(600);
         c.install_fault_plan(plan.clone());
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
-        assert!(resume(&f, &mut m).is_err());
+        assert!(m.run(&f).is_err());
         assert_eq!(meta.exists(), m.checkpoints() > 0);
         plan.clear_crash();
-        let parts = resume(&f, &mut m).unwrap();
+        let parts = m.run(&f).unwrap();
         assert_eq!(parts.len(), 8);
         assert!(!meta.exists(), "journal removed after completion");
         let report = c
@@ -706,17 +608,40 @@ mod tests {
         assert!(report.ok);
     }
 
-    #[test]
-    fn image_roundtrips_through_journal_encoding() {
-        let img = PartImage {
+    /// A fixed image: two completed slots and two pending nodes, the
+    /// bottom one still borrowing the root input.
+    fn golden_image() -> PartImage {
+        PartImage {
             input: (5, 4000),
             spec: (4000, 8, 100, 3000),
             checkpoints: 7,
             slots: vec![(0, vec![(9, 100), (10, 40)]), (3, vec![])],
             nodes: vec![(0, 7, None), (4, 7, Some(vec![(11, 2000)]))],
-        };
+        }
+    }
+
+    #[test]
+    fn image_roundtrips_through_journal_encoding() {
+        let img = golden_image();
         let mut body = String::new();
         img.encode(&mut body);
         assert_eq!(PartImage::decode(&body).unwrap(), img);
+    }
+
+    /// The encoded body of [`golden_image`] is pinned: a change here
+    /// breaks every journal already on disk.
+    #[test]
+    fn journal_encoding_is_pinned() {
+        let mut body = String::new();
+        golden_image().encode(&mut body);
+        assert_eq!(
+            body,
+            "input 5 4000\nspec 4000 8 100 3000\ncheckpoints 7\n\
+             slot 0 9 100 10 40\nslot 3\nnode 0 7 root\nnode 4 7 11 2000\n"
+        );
+        assert_eq!(
+            (PartImage::KIND, PartImage::VERSION),
+            ("partition-manifest", 1)
+        );
     }
 }

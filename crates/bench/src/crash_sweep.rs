@@ -19,10 +19,10 @@
 //! rest of the sweep. The library tests (`tests/fault_recovery.rs`) run
 //! the same driver exhaustively at small `N` and assert zero failures.
 
-use apsplit::{PartitionJob, PartitionManifest, ProblemSpec};
-use emcore::{run_recoverable, EmConfig, EmContext, EmError, EmFile, FaultPlan};
-use emselect::{MsOptions, MultiSelectJob, MultiSelectManifest, Partition};
-use emsort::{SortJob, SortManifest};
+use apsplit::{PartitionManifest, ProblemSpec};
+use emcore::{EmConfig, EmContext, EmError, EmFile, FaultPlan};
+use emselect::{MsOptions, MultiSelectManifest, Partition};
+use emsort::SortManifest;
 use workloads::{materialize, Workload};
 
 use crate::harness::{emit, fnum, Scale, Table};
@@ -32,11 +32,11 @@ const SEED: u64 = 20140623;
 /// The recoverable algorithms the campaign sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
-    /// Recoverable external merge sort ([`emsort::SortJob`]).
+    /// Recoverable external merge sort ([`emsort::SortManifest`]).
     Sort,
-    /// Recoverable multi-selection ([`emselect::MultiSelectJob`]).
+    /// Recoverable multi-selection ([`emselect::MultiSelectManifest`]).
     MultiSelect,
-    /// Recoverable approximate partitioning ([`apsplit::PartitionJob`]).
+    /// Recoverable approximate partitioning ([`apsplit::PartitionManifest`]).
     Partition,
 }
 
@@ -196,7 +196,7 @@ fn run_algo(
     let (digest, max_unit_ios, live) = match algo {
         Algo::Sort => {
             let mut m = SortManifest::new(&ctx, None);
-            let sorted = drive!(run_recoverable(&ctx, &mut SortJob::new(&input, &mut m)));
+            let sorted = drive!(m.run(&input));
             let d = ctx.oracle(|| digest_file(&sorted));
             (d, m.max_unit_ios(), vec![input.id(), sorted.id()])
         }
@@ -209,10 +209,7 @@ fn run_algo(
             };
             let mut m = MultiSelectManifest::new(&input, &select_ranks(n), opts)
                 .map_err(|e| format!("manifest: {e}"))?;
-            let found = drive!(run_recoverable(
-                &ctx,
-                &mut MultiSelectJob::new(&input, &mut m)
-            ));
+            let found = drive!(m.run(&input));
             let mut d = 0xcbf2_9ce4_8422_2325u64;
             for x in &found {
                 d = fnv(d, *x);
@@ -223,10 +220,7 @@ fn run_algo(
             let spec = partition_spec(n);
             let mut m =
                 PartitionManifest::new(&input, &spec).map_err(|e| format!("manifest: {e}"))?;
-            let parts = drive!(run_recoverable(
-                &ctx,
-                &mut PartitionJob::new(&input, &mut m)
-            ));
+            let parts = drive!(m.run(&input));
             let d = ctx.oracle(|| digest_parts(&parts));
             let mut live = vec![input.id()];
             for p in &parts {

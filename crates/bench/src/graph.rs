@@ -26,11 +26,11 @@
 //! rather than panics, and the `graph_bench` binary exits nonzero when
 //! any cell is sick (the CI graph-smoke gate).
 
-use emcore::{run_recoverable, EmConfig, EmContext, EmError, FaultPlan};
+use emcore::{EmConfig, EmContext, EmError, FaultPlan};
 use emgraph::{
     build_graph, cluster_buckets, degree_buckets, edges_from_pairs, labels_digest,
-    register_cluster_sizes, register_clustering, BuildOptions, ClusterJob, ClusterManifest,
-    ClusterOptions, Clustering, Graph,
+    register_cluster_sizes, register_clustering, BuildOptions, ClusterManifest, ClusterOptions,
+    Clustering, Graph,
 };
 use emserve::{QueryServer, QueryService, ServeOptions};
 use workloads::{grid_edges, rmat_edges};
@@ -150,7 +150,7 @@ fn run_once(
     let mut resumes = 0u64;
     let mut manifest = ClusterManifest::new(&ctx, &cluster_opts());
     let c = loop {
-        match run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)) {
+        match manifest.run(&g) {
             Ok(c) => break c,
             Err(EmError::Crashed) => {
                 resumes += 1;

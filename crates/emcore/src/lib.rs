@@ -25,7 +25,8 @@
 //! * [`SpillVec`] — bookkeeping arrays that can be written out to disk
 //!   across recursive calls.
 //! * [`Journal`] — durable, atomically-committed checkpoint documents for
-//!   crash-recoverable algorithms ([`JournalState`] encode/decode).
+//!   crash-recoverable algorithms ([`JournalState`] encode/decode);
+//!   [`Checkpoint`] is the bookkeeping every recoverable job shares.
 //!
 //! ## Example
 //!
@@ -87,11 +88,11 @@ pub use metrics::{
 };
 pub use pool::{BlockCache, PinnedBlock};
 pub use record::{Indexed, KeyValue, Record, Tagged};
-pub use recovery::{run_recoverable, RecoverableJob};
+pub use recovery::{Checkpoint, Unit};
 pub use report::{SpanNode, TraceReport};
 pub use rng::SplitMix64;
 pub use spill::SpillVec;
-pub use stats::{Counters, IoStats, PhaseGuard, TraceSpanGuard};
+pub use stats::{Counters, IoStats, SpanGuard};
 pub use trace::{
     FileAccess, JsonlSink, PointKind, RingSink, TraceEvent, TraceSink, Tracer, HEAT_BUCKETS,
 };

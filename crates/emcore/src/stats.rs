@@ -62,16 +62,6 @@ pub struct Counters {
     /// went to the device, and populated a frame. Always 0 with the cache
     /// disabled.
     pub cache_misses: u64,
-    /// Queries the serving layer shed at admission because their deadline
-    /// had already expired (no I/O was spent on them).
-    pub shed_queries: u64,
-    /// Serving-layer circuit-breaker trips: a dataset entered the
-    /// `Unhealthy` (fail-fast) state after consecutive fatal batch
-    /// failures.
-    pub breaker_trips: u64,
-    /// Queries answered *approximately* from a splitter-index skeleton
-    /// alone (zero I/O, explicit rank-error bound) instead of being shed.
-    pub degraded_answers: u64,
     /// Strict-mode memory charges denied with a typed
     /// [`crate::EmError::MemoryExceeded`] (the caller retried smaller,
     /// degraded, or surfaced the error — nothing panicked).
@@ -134,11 +124,6 @@ impl Counters {
             physical_writes: self.physical_writes.saturating_sub(earlier.physical_writes),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            shed_queries: self.shed_queries.saturating_sub(earlier.shed_queries),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            degraded_answers: self
-                .degraded_answers
-                .saturating_sub(earlier.degraded_answers),
             mem_denials: self.mem_denials.saturating_sub(earlier.mem_denials),
             mem_reclaims: self.mem_reclaims.saturating_sub(earlier.mem_reclaims),
         }
@@ -162,9 +147,6 @@ impl Counters {
             physical_writes: self.physical_writes.saturating_add(other.physical_writes),
             cache_hits: self.cache_hits.saturating_add(other.cache_hits),
             cache_misses: self.cache_misses.saturating_add(other.cache_misses),
-            shed_queries: self.shed_queries.saturating_add(other.shed_queries),
-            breaker_trips: self.breaker_trips.saturating_add(other.breaker_trips),
-            degraded_answers: self.degraded_answers.saturating_add(other.degraded_answers),
             mem_denials: self.mem_denials.saturating_add(other.mem_denials),
             mem_reclaims: self.mem_reclaims.saturating_add(other.mem_reclaims),
         }
@@ -221,15 +203,6 @@ impl std::fmt::Display for Counters {
                 self.physical_ios()
             )?;
         }
-        if self.shed_queries != 0 {
-            write!(f, ", {} shed queries", self.shed_queries)?;
-        }
-        if self.breaker_trips != 0 {
-            write!(f, ", {} breaker trips", self.breaker_trips)?;
-        }
-        if self.degraded_answers != 0 {
-            write!(f, ", {} degraded answers", self.degraded_answers)?;
-        }
         if self.mem_denials != 0 {
             write!(f, ", {} mem denials", self.mem_denials)?;
         }
@@ -272,9 +245,6 @@ struct AtomicCounters {
     physical_writes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    shed_queries: AtomicU64,
-    breaker_trips: AtomicU64,
-    degraded_answers: AtomicU64,
     mem_denials: AtomicU64,
     mem_reclaims: AtomicU64,
 }
@@ -295,9 +265,6 @@ impl AtomicCounters {
             physical_writes: self.physical_writes.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            shed_queries: self.shed_queries.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            degraded_answers: self.degraded_answers.load(Ordering::Relaxed),
             mem_denials: self.mem_denials.load(Ordering::Relaxed),
             mem_reclaims: self.mem_reclaims.load(Ordering::Relaxed),
         }
@@ -317,9 +284,6 @@ impl AtomicCounters {
         self.physical_writes.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
-        self.shed_queries.store(0, Ordering::Relaxed);
-        self.breaker_trips.store(0, Ordering::Relaxed);
-        self.degraded_answers.store(0, Ordering::Relaxed);
         self.mem_denials.store(0, Ordering::Relaxed);
         self.mem_reclaims.store(0, Ordering::Relaxed);
     }
@@ -544,43 +508,6 @@ impl IoStats {
         }
     }
 
-    /// Charge one shed query: the serving layer dropped it at admission
-    /// because its deadline had already expired (see
-    /// [`Counters::shed_queries`]).
-    #[inline]
-    pub fn record_shed_query(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .shed_queries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one circuit-breaker trip: a served dataset entered the
-    /// fail-fast `Unhealthy` state (see [`Counters::breaker_trips`]).
-    #[inline]
-    pub fn record_breaker_trip(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .breaker_trips
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one degraded answer: a query answered approximately from a
-    /// splitter skeleton at zero I/O (see [`Counters::degraded_answers`]).
-    #[inline]
-    pub fn record_degraded_answer(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .degraded_answers
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Charge one strict-mode memory denial: a typed
     /// [`crate::EmError::MemoryExceeded`] handed back instead of a panic.
     #[inline]
@@ -708,11 +635,11 @@ impl IoStats {
     /// `?`-safe form of [`IoStats::begin_phase`]: the phase closes (and its
     /// trace span stays balanced) on early return, error propagation, and
     /// unwinding.
-    pub fn phase_guard(&self, name: impl Into<String>) -> PhaseGuard<'_> {
+    pub fn phase_guard(&self, name: impl Into<String>) -> SpanGuard<'_> {
         self.begin_phase(name);
-        PhaseGuard {
+        SpanGuard {
             stats: self,
-            done: false,
+            open: true,
         }
     }
 
@@ -722,7 +649,7 @@ impl IoStats {
     /// without double-counting the flat per-phase totals. The name closure
     /// is only invoked when tracing is enabled; when disabled the returned
     /// guard is inert and the cost is one flag check.
-    pub fn trace_span(&self, name: impl FnOnce() -> String) -> TraceSpanGuard<'_> {
+    pub fn trace_span(&self, name: impl FnOnce() -> String) -> SpanGuard<'_> {
         self.trace_span_impl(None, name)
     }
 
@@ -731,30 +658,22 @@ impl IoStats {
     /// `parent` of 0 falls back to automatic parent resolution. Use from
     /// worker threads so their spans attach under the phase that charges
     /// their I/O rather than whatever another thread has open.
-    pub fn trace_span_under(
-        &self,
-        parent: u64,
-        name: impl FnOnce() -> String,
-    ) -> TraceSpanGuard<'_> {
+    pub fn trace_span_under(&self, parent: u64, name: impl FnOnce() -> String) -> SpanGuard<'_> {
         let parent = (parent != 0).then_some(parent);
         self.trace_span_impl(parent, name)
     }
 
-    fn trace_span_impl(
-        &self,
-        parent: Option<u64>,
-        name: impl FnOnce() -> String,
-    ) -> TraceSpanGuard<'_> {
+    fn trace_span_impl(&self, parent: Option<u64>, name: impl FnOnce() -> String) -> SpanGuard<'_> {
         if !self.inner.tracer.is_enabled() {
-            return TraceSpanGuard {
+            return SpanGuard {
                 stats: self,
-                active: false,
+                open: false,
             };
         }
         self.push_scope(name(), false, parent);
-        TraceSpanGuard {
+        SpanGuard {
             stats: self,
-            active: true,
+            open: true,
         }
     }
 
@@ -774,41 +693,29 @@ impl IoStats {
     }
 }
 
-/// RAII guard for a charged phase; see [`IoStats::phase_guard`].
-#[must_use = "dropping the guard immediately ends the phase"]
+/// RAII guard for an open span — a charged phase
+/// ([`IoStats::phase_guard`]) or a trace-only span ([`IoStats::trace_span`],
+/// inert while tracing is off). Dropping it ends the span.
+#[must_use = "dropping the guard immediately ends the span"]
 #[derive(Debug)]
-pub struct PhaseGuard<'a> {
+pub struct SpanGuard<'a> {
     stats: &'a IoStats,
-    done: bool,
+    open: bool,
 }
 
-impl PhaseGuard<'_> {
-    /// End the phase now, returning its delta.
+impl SpanGuard<'_> {
+    /// End the span now, returning its delta (`None` for an inert guard).
     pub fn end(mut self) -> Option<Counters> {
-        self.done = true;
+        if !std::mem::take(&mut self.open) {
+            return None;
+        }
         self.stats.end_phase()
     }
 }
 
-impl Drop for PhaseGuard<'_> {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            self.stats.end_phase();
-        }
-    }
-}
-
-/// RAII guard for a trace-only span; see [`IoStats::trace_span`].
-#[must_use = "dropping the guard immediately closes the span"]
-#[derive(Debug)]
-pub struct TraceSpanGuard<'a> {
-    stats: &'a IoStats,
-    active: bool,
-}
-
-impl Drop for TraceSpanGuard<'_> {
-    fn drop(&mut self) {
-        if self.active {
+        if self.open {
             self.stats.end_phase();
         }
     }

@@ -377,9 +377,6 @@ fn counters_fields(o: &mut JsonObj, c: &Counters) {
         .num_nz("physical_writes", c.physical_writes)
         .num_nz("cache_hits", c.cache_hits)
         .num_nz("cache_misses", c.cache_misses)
-        .num_nz("shed_queries", c.shed_queries)
-        .num_nz("breaker_trips", c.breaker_trips)
-        .num_nz("degraded_answers", c.degraded_answers)
         .num_nz("mem_denials", c.mem_denials)
         .num_nz("mem_reclaims", c.mem_reclaims);
 }
@@ -506,9 +503,6 @@ impl TraceEvent {
                     physical_writes: n("physical_writes"),
                     cache_hits: n("cache_hits"),
                     cache_misses: n("cache_misses"),
-                    shed_queries: n("shed_queries"),
-                    breaker_trips: n("breaker_trips"),
-                    degraded_answers: n("degraded_answers"),
                     mem_denials: n("mem_denials"),
                     mem_reclaims: n("mem_reclaims"),
                 },
@@ -1210,9 +1204,6 @@ mod tests {
                 physical_writes: 4,
                 cache_hits: 2,
                 cache_misses: 8,
-                shed_queries: 1,
-                breaker_trips: 1,
-                degraded_answers: 6,
                 mem_denials: 2,
                 mem_reclaims: 1,
             },

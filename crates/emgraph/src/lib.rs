@@ -44,5 +44,5 @@ pub use bucket::{cluster_buckets, degree_buckets, score_buckets, Buckets};
 pub use build::{build_graph, rebind_graph, BuildOptions, Graph};
 pub use cluster::{count_clusters, labels_digest, ClusterOptions, Clustering};
 pub use edge::{edges_from_pairs, Edge};
-pub use recover::{cluster, ClusterJob, ClusterManifest, CLUSTER_JOURNAL};
+pub use recover::{cluster, ClusterManifest, CLUSTER_JOURNAL};
 pub use serve::{cluster_sizes, register_cluster_sizes, register_clustering};

@@ -12,10 +12,7 @@
 //! directory-backed context, garbage-collecting the crashed attempt's
 //! orphans.
 
-use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, RecoverableJob,
-    Result,
-};
+use emcore::{Checkpoint, EmContext, EmError, EmFile, JournalState, Result};
 
 use crate::build::Graph;
 use crate::cluster::{count_clusters, initial_labels, lp_round, ClusterOptions, Clustering};
@@ -27,10 +24,9 @@ pub const CLUSTER_JOURNAL: &str = "graph-cluster";
 /// one label-propagation round (unit 0 is the identity labeling).
 #[derive(Debug)]
 pub struct ClusterManifest {
-    /// Input binding: canonical edge file `(id, len)`, vertex count, and
-    /// the option echo — a journal must not replay against a different
-    /// graph or different parameters.
-    input: Option<(u64, u64)>,
+    /// Input binding beyond the edge file's `(id, len)` (which `cp`
+    /// holds): vertex count and the option echo — a journal must not
+    /// replay against a different graph or different parameters.
     vertices: u64,
     rounds: u32,
     cap: u64,
@@ -40,11 +36,8 @@ pub struct ClusterManifest {
     /// Vertices moved per completed round (a trailing 0 means the loop
     /// converged early and must not resume).
     moves: Vec<u64>,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
+    /// Journal, edge-file binding and unit accounting.
+    cp: Checkpoint,
 }
 
 /// Serialised image of a [`ClusterManifest`] — what the journal stores.
@@ -125,64 +118,40 @@ impl ClusterManifest {
     /// A fresh manifest for `opts`: no rounds completed.
     pub fn new(ctx: &EmContext, opts: &ClusterOptions) -> Self {
         Self {
-            input: None,
             vertices: 0,
             rounds: opts.rounds,
             cap: opts.max_cluster_size,
             round: 0,
             labels: None,
             moves: Vec::new(),
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal: Journal::new(ctx, CLUSTER_JOURNAL).expect("valid journal name"),
+            cp: Checkpoint::new(ctx, CLUSTER_JOURNAL, None),
         }
     }
 
     /// Reload an interrupted clustering from `ctx`'s backing directory:
-    /// read the `graph-cluster` journal, reopen the checkpointed label
-    /// file, and garbage-collect block files the crashed attempt
-    /// orphaned (anything referenced by neither the journal nor the
-    /// recorded input). Returns `Ok(None)` when no journal exists.
-    ///
-    /// As with the sort manifest, the sweep assumes one recoverable job
-    /// per backing directory and requires a directory-backed context.
+    /// read the `graph-cluster` journal, sweep the crashed attempt's
+    /// orphans (see [`Checkpoint::load`]) and reopen the checkpointed
+    /// label file. Returns `Ok(None)` when no journal exists.
     pub fn load(ctx: &EmContext) -> Result<Option<Self>> {
-        if ctx.backing_dir().is_none() {
-            return Err(EmError::config(
-                "ClusterManifest::load: cross-process resume requires a directory-backed context",
-            ));
-        }
-        let journal = Journal::new(ctx, CLUSTER_JOURNAL).expect("valid journal name");
-        let Some(img) = journal.load::<ClusterImage>()? else {
+        let Some((cp, img)) = Checkpoint::load::<ClusterImage>(ctx, CLUSTER_JOURNAL, |img| {
+            let files = img.labels.iter().map(|&(id, _)| id);
+            (img.input, img.checkpoints, files.collect())
+        })?
+        else {
             return Ok(None);
         };
-        let mut keep = Vec::new();
-        if let Some((id, _)) = img.input {
-            keep.push(id);
-        }
-        if let Some((id, _)) = img.labels {
-            keep.push(id);
-        }
-        ctx.gc_orphans(&keep)?;
         let labels = img
             .labels
             .map(|(id, len)| ctx.open_file::<u64>(id, len))
             .transpose()?;
         Ok(Some(Self {
-            input: img.input,
             vertices: img.vertices,
             rounds: img.rounds,
             cap: img.cap,
             round: img.round,
             labels,
             moves: img.moves,
-            checkpoints: img.checkpoints,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
+            cp,
         }))
     }
 
@@ -193,12 +162,12 @@ impl ClusterManifest {
 
     /// Completed work units so far (each one a checkpoint).
     pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
+        self.cp.checkpoints()
     }
 
     /// Whether the clustering has completed and yielded its output.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.cp.is_done()
     }
 
     /// Vertices moved per completed round.
@@ -209,7 +178,7 @@ impl ClusterManifest {
     /// The `(id, len)` of the canonical edge file this manifest
     /// clusters, once known.
     pub fn input(&self) -> Option<(u64, u64)> {
-        self.input
+        self.cp.input()
     }
 
     /// The vertex-id space of the bound graph (0 until bound).
@@ -220,51 +189,27 @@ impl ClusterManifest {
     /// Largest I/O cost of any single completed work unit — the
     /// empirical bound on crash rework (≤ one round).
     pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
+        self.cp.max_unit_ios()
     }
 
     /// A human-readable snapshot of the manifest.
     pub fn describe(&self) -> String {
         let mut s = String::from("em-graph-cluster-manifest v1\n");
-        self.image().encode(&mut s);
+        self.image(self.cp.checkpoints()).encode(&mut s);
         s
     }
 
-    fn image(&self) -> ClusterImage {
+    fn image(&self, checkpoints: u64) -> ClusterImage {
         ClusterImage {
-            input: self.input,
+            input: self.cp.input(),
             vertices: self.vertices,
             rounds: self.rounds,
             cap: self.cap,
             round: self.round,
             labels: self.labels.as_ref().map(|f| (f.id(), f.len())),
             moves: self.moves.clone(),
-            checkpoints: self.checkpoints,
+            checkpoints,
         }
-    }
-
-    fn begin_unit(&mut self, ctx: &EmContext) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, ctx.stats().snapshot())
-    }
-
-    fn end_unit(&mut self, ctx: &EmContext, redo: bool, before: Counters) {
-        let spent = ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.done = true;
-        self.journal.remove()
     }
 
     /// Install `next` as the checkpointed label file: persist it, commit
@@ -273,78 +218,34 @@ impl ClusterManifest {
     fn swap_labels(&mut self, next: EmFile<u64>) -> Result<()> {
         next.set_persistent(true);
         let prev = self.labels.replace(next);
-        self.checkpoint()?;
+        self.cp.commit(&self.image(self.cp.checkpoints() + 1))?;
         if let Some(prev) = prev {
             prev.set_persistent(false);
         }
         Ok(())
     }
-}
 
-/// The checkpointed clustering as a [`RecoverableJob`]: drive it with
-/// [`emcore::run_recoverable`]. Borrows the graph and its manifest for
-/// one resume attempt; build a fresh job value per attempt.
-#[derive(Debug)]
-pub struct ClusterJob<'a> {
-    graph: &'a Graph,
-    manifest: &'a mut ClusterManifest,
-}
-
-impl<'a> ClusterJob<'a> {
-    /// A job that clusters `graph`, checkpointing through `manifest`.
-    pub fn new(graph: &'a Graph, manifest: &'a mut ClusterManifest) -> Self {
-        Self { graph, manifest }
-    }
-}
-
-impl RecoverableJob for ClusterJob<'_> {
-    type Output = Clustering;
-
-    fn kind(&self) -> &'static str {
-        "graph_cluster"
-    }
-
-    fn journal_name(&self) -> &'static str {
-        CLUSTER_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        let edges = self.graph.edges();
-        match self.manifest.input {
-            None => {
-                self.manifest.input = Some((edges.id(), edges.len()));
-                self.manifest.vertices = self.graph.vertices();
-                Ok(())
-            }
-            Some((id, len)) if (id, len) != (edges.id(), edges.len()) => {
-                Err(EmError::config(format!(
-                    "graph_cluster: manifest belongs to edge file (id {id}, len {len}), \
-                     got (id {}, len {})",
-                    edges.id(),
-                    edges.len()
-                )))
-            }
-            Some(_) if self.manifest.vertices != self.graph.vertices() => {
-                Err(EmError::config(format!(
-                    "graph_cluster: manifest belongs to a {}-vertex graph, got {}",
-                    self.manifest.vertices,
-                    self.graph.vertices()
-                )))
-            }
-            Some(_) => Ok(()),
+    /// Drive the clustering of `graph` forward from wherever this
+    /// manifest left off, until completion or the next terminal error.
+    /// Idempotent over failures: only the interrupted round is redone on
+    /// the next call. A fresh manifest binds to `graph`; a resumed one
+    /// refuses any other graph.
+    pub fn run(&mut self, graph: &Graph) -> Result<Clustering> {
+        let edges = graph.edges();
+        let fresh = self.cp.input().is_none();
+        self.cp.start(edges.id(), edges.len())?;
+        if fresh {
+            self.vertices = graph.vertices();
+        } else if self.vertices != graph.vertices() {
+            return Err(EmError::config(format!(
+                "{CLUSTER_JOURNAL}: manifest belongs to a {}-vertex graph, got {}",
+                self.vertices,
+                graph.vertices()
+            )));
         }
-    }
-
-    fn drive(&mut self, ctx: &EmContext) -> Result<Clustering> {
-        let stats = ctx.stats().clone();
-        let phase = stats.phase_guard("graph/cluster");
-        let r = drive_rounds(ctx, self.graph, self.manifest);
-        drop(phase);
-        r
+        let ctx = self.cp.ctx().clone();
+        let _phase = ctx.stats().phase_guard("graph/cluster");
+        drive_rounds(&ctx, graph, self)
     }
 }
 
@@ -364,16 +265,16 @@ fn drive_rounds(
 
     // Unit 0: the identity labeling.
     if manifest.labels.is_none() {
-        let (redo, before) = manifest.begin_unit(ctx);
+        let unit = manifest.cp.begin_unit();
         let _unit = ctx.stats().trace_span(|| "graph/round#0".to_string());
         let init = initial_labels(ctx, graph.vertices())?;
         manifest.swap_labels(init)?;
-        manifest.end_unit(ctx, redo, before);
+        manifest.cp.end_unit(unit);
     }
 
     // Units 1..: one round each, until the budget or convergence.
     while manifest.round < manifest.rounds && manifest.moves.last() != Some(&0) {
-        let (redo, before) = manifest.begin_unit(ctx);
+        let unit = manifest.cp.begin_unit();
         let _unit = ctx
             .stats()
             .trace_span(|| format!("graph/round#{}", manifest.round + 1));
@@ -384,7 +285,7 @@ fn drive_rounds(
         manifest.round += 1;
         manifest.moves.push(moved);
         manifest.swap_labels(next)?;
-        manifest.end_unit(ctx, redo, before);
+        manifest.cp.end_unit(unit);
     }
 
     // Finalize: read-only summary work after the last checkpoint — a
@@ -400,7 +301,7 @@ fn drive_rounds(
         clusters,
         labels,
     };
-    manifest.finish()?;
+    manifest.cp.finish()?;
     // The output leaves the manifest's custody: normal drop semantics.
     result.labels.set_persistent(false);
     Ok(result)
@@ -408,11 +309,9 @@ fn drive_rounds(
 
 /// Cluster `graph` with per-round checkpointing — the one-shot entry
 /// point. For crash survival across attempts, keep your own manifest
-/// and drive [`ClusterJob`] via [`emcore::run_recoverable`].
+/// and call [`ClusterManifest::run`].
 pub fn cluster(graph: &Graph, opts: &ClusterOptions) -> Result<Clustering> {
-    let ctx = graph.edges().ctx().clone();
-    let mut manifest = ClusterManifest::new(&ctx, opts);
-    run_recoverable(&ctx, &mut ClusterJob::new(graph, &mut manifest))
+    ClusterManifest::new(graph.edges().ctx(), opts).run(graph)
 }
 
 #[cfg(test)]
@@ -467,12 +366,12 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(400);
         ctx.install_fault_plan(plan.clone());
         let mut manifest = ClusterManifest::new(&ctx, &opts);
-        let crashed = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest));
+        let crashed = manifest.run(&g);
         assert!(matches!(crashed, Err(EmError::Crashed)));
         assert!(!manifest.is_done());
         plan.clear_crash();
         ctx.clear_fault_plan();
-        let got = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
+        let got = manifest.run(&g).unwrap();
         assert!(manifest.is_done());
         assert_eq!(labels_digest(&got.labels).unwrap(), want_digest);
         assert_eq!(got.moves, want.moves);
@@ -496,24 +395,18 @@ mod tests {
             max_cluster_size: 0,
         };
         let mut manifest = ClusterManifest::new(&ctx, &opts);
-        let _ = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
-        assert!(matches!(
-            run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)),
-            Err(EmError::Config(_))
-        ));
+        let _ = manifest.run(&g).unwrap();
+        assert!(matches!(manifest.run(&g), Err(EmError::Config(_))));
         // A fresh manifest crashed against g must reject another graph.
         let plan = FaultPlan::new(0).fatal_at(100);
         ctx.install_fault_plan(plan.clone());
         let mut m2 = ClusterManifest::new(&ctx, &opts);
-        assert!(run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut m2)).is_err());
+        assert!(m2.run(&g).is_err());
         plan.clear_crash();
         ctx.clear_fault_plan();
         let other = graph_on(&ctx, 8, 60, 400);
-        assert!(matches!(
-            run_recoverable(&ctx, &mut ClusterJob::new(&other, &mut m2)),
-            Err(EmError::Config(_))
-        ));
-        let done = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut m2)).unwrap();
+        assert!(matches!(m2.run(&other), Err(EmError::Config(_))));
+        let done = m2.run(&g).unwrap();
         assert_eq!(done.labels.len(), 50);
     }
 
@@ -541,7 +434,7 @@ mod tests {
             let plan = FaultPlan::new(0).fatal_at(600);
             ctx.install_fault_plan(plan.clone());
             let mut manifest = ClusterManifest::new(&ctx, &opts);
-            let r = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest));
+            let r = manifest.run(&g);
             assert!(matches!(r, Err(EmError::Crashed)));
         }
         {
@@ -552,7 +445,7 @@ mod tests {
                 .expect("journal exists");
             let edges = ctx.open_file::<crate::Edge>(edges_id, edges_len).unwrap();
             let g = crate::rebind_graph(&ctx, edges, manifest.vertices()).unwrap();
-            let got = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
+            let got = manifest.run(&g).unwrap();
             assert_eq!(labels_digest(&got.labels).unwrap(), want_digest);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -573,6 +466,68 @@ mod tests {
         let mut body = String::new();
         img.encode(&mut body);
         assert_eq!(ClusterImage::decode(&body).unwrap(), img);
+    }
+
+    /// A fixed image: the bound edge file and round 2's label file.
+    fn golden_image() -> ClusterImage {
+        ClusterImage {
+            input: Some((0, 24)),
+            vertices: 6,
+            rounds: 8,
+            cap: 4,
+            round: 2,
+            labels: Some((1, 6)),
+            moves: vec![3, 1],
+            checkpoints: 3,
+        }
+    }
+
+    /// Encoded body of [`golden_image`], as written by the `v1` image
+    /// layout. A change here breaks every journal already on disk.
+    const GOLDEN_BODY: &str = "vertices 6\nrounds 8\ncap 4\nround 2\ncheckpoints 3\n\
+        input 0 24\nlabels 1 6\nmoved 3\nmoved 1\n";
+
+    /// The whole committed document for [`golden_image`].
+    const GOLDEN_DOC: &str = "emjournal v2 graph-cluster 1 86 fe087f84221f0d8c\n\
+        vertices 6\nrounds 8\ncap 4\nround 2\ncheckpoints 3\n\
+        input 0 24\nlabels 1 6\nmoved 3\nmoved 1\n";
+
+    #[test]
+    fn journal_encoding_is_pinned() {
+        let mut body = String::new();
+        golden_image().encode(&mut body);
+        assert_eq!(body, GOLDEN_BODY);
+        assert!(GOLDEN_DOC.ends_with(GOLDEN_BODY));
+        assert_eq!(
+            (ClusterImage::KIND, ClusterImage::VERSION),
+            ("graph-cluster", 1)
+        );
+    }
+
+    #[test]
+    fn golden_document_loads_from_a_directory() {
+        let dir = std::env::temp_dir().join(format!("emgraph-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            // File 0 stands in for the bound edge file, 1 is round 2's
+            // label file, 2 is an orphan of the "crashed" attempt.
+            let c = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+            for len in [24u64, 6, 5] {
+                let v: Vec<u64> = (0..len).collect();
+                EmFile::from_slice(&c, &v).unwrap().set_persistent(true);
+            }
+            std::fs::write(dir.join("graph-cluster.journal"), GOLDEN_DOC).unwrap();
+        }
+        let c = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+        let m = ClusterManifest::load(&c).unwrap().expect("journal exists");
+        assert_eq!(
+            m.describe(),
+            format!("em-graph-cluster-manifest v1\n{GOLDEN_BODY}")
+        );
+        assert_eq!((m.round(), m.vertices(), m.moves()), (2, 6, &[3, 1][..]));
+        assert_eq!(c.list_file_ids().unwrap(), vec![0, 1], "orphan swept");
+        drop((m, c));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -55,11 +55,7 @@ pub use multi_select::{
     multi_select_with, quantiles, select_rank, MsBaseCase, MsOptions,
 };
 pub use partition_out::{segs_len, ChainReader, Partition};
-#[allow(deprecated)]
-pub use recover::resume_multi_select;
-pub use recover::{
-    multi_select_recoverable, MultiSelectJob, MultiSelectManifest, MULTI_SELECT_JOURNAL,
-};
+pub use recover::{multi_select_recoverable, MultiSelectManifest, MULTI_SELECT_JOURNAL};
 pub use sample_splitters::{
     bucket_of, count_buckets, count_buckets_segs, max_deterministic_fanout,
     max_deterministic_fanout_n, refined_splitters, sample_splitters, sample_splitters_segs,

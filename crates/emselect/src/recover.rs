@@ -28,8 +28,8 @@
 //! ## Example: crash and resume
 //!
 //! ```
-//! use emcore::{run_recoverable, EmConfig, EmContext, EmError, EmFile, FaultPlan};
-//! use emselect::{MsOptions, MultiSelectJob, MultiSelectManifest};
+//! use emcore::{EmConfig, EmContext, EmError, EmFile, FaultPlan};
+//! use emselect::{MsOptions, MultiSelectManifest};
 //!
 //! let ctx = EmContext::new_in_memory(EmConfig::tiny());
 //! let data: Vec<u64> = (0..4000).rev().collect();
@@ -41,22 +41,16 @@
 //! let mut opts = MsOptions::default();
 //! opts.base_capacity_override = Some(3); // force several groups
 //! let mut m = MultiSelectManifest::new(&input, &ranks, opts).unwrap();
-//! assert!(matches!(
-//!     run_recoverable(&ctx, &mut MultiSelectJob::new(&input, &mut m)),
-//!     Err(EmError::Crashed)
-//! ));
+//! assert!(matches!(m.run(&input), Err(EmError::Crashed)));
 //! plan.clear_crash();
-//! let got = run_recoverable(&ctx, &mut MultiSelectJob::new(&input, &mut m)).unwrap();
+//! let got = m.run(&input).unwrap();
 //! let want: Vec<u64> = ranks.iter().map(|&r| r - 1).collect();
 //! assert_eq!(got, want);
 //! ```
 
 #[cfg(test)]
 use emcore::from_hex;
-use emcore::{
-    run_recoverable, to_hex, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
-};
+use emcore::{to_hex, Checkpoint, EmContext, EmError, EmFile, JournalState, Record, Result};
 
 use crate::multi_partition::multi_partition_at_ranks;
 use crate::multi_select::{base_case_capacity_n, multi_select_segs, MsOptions};
@@ -198,7 +192,6 @@ impl JournalState for MsImage {
 /// resume attempts.
 #[derive(Debug)]
 pub struct MultiSelectManifest<T: Record> {
-    ctx: EmContext,
     opts: MsOptions,
     /// Caller's rank list, in caller order (the output order).
     ranks: Vec<u64>,
@@ -208,8 +201,6 @@ pub struct MultiSelectManifest<T: Record> {
     m: usize,
     /// Number of rank groups `g = ⌈K/m⌉`.
     groups: usize,
-    /// Input file identity `(id, len)`.
-    input: (u64, u64),
     /// The partition prepass (unit 0) has completed (vacuously true when
     /// `g ≤ 1`).
     partitioned: bool,
@@ -220,11 +211,9 @@ pub struct MultiSelectManifest<T: Record> {
     /// Found elements for groups `0..next_group`, in sorted-rank order.
     answers: Vec<T>,
     next_group: usize,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
+    /// Journal, input binding (fixed at construction) and unit
+    /// accounting.
+    cp: Checkpoint,
 }
 
 impl<T: Record> MultiSelectManifest<T> {
@@ -247,37 +236,30 @@ impl<T: Record> MultiSelectManifest<T> {
         sorted.dedup();
         let m = base_case_capacity_n::<T>(&ctx, n, &opts);
         let groups = sorted.len().div_ceil(m.max(1));
-        let journal = Journal::new(&ctx, MULTI_SELECT_JOURNAL).expect("valid journal name");
         Ok(Self {
             opts,
             ranks: ranks.to_vec(),
             sorted,
             m,
             groups,
-            input: (input.id(), n),
             // A single group (or no ranks) needs no prepass.
             partitioned: groups <= 1,
             parts: Vec::new(),
             offsets: vec![0],
             answers: Vec::new(),
             next_group: 0,
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
-            ctx,
+            cp: Checkpoint::new(&ctx, MULTI_SELECT_JOURNAL, Some((input.id(), n))),
         })
     }
 
     /// Whether selection has completed and yielded its output.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.cp.is_done()
     }
 
     /// Completed work units so far (each one a checkpoint).
     pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
+        self.cp.checkpoints()
     }
 
     /// Number of rank groups (`⌈K/m⌉`; each is one work unit, plus one
@@ -289,23 +271,23 @@ impl<T: Record> MultiSelectManifest<T> {
     /// Largest I/O cost of any single completed work unit — the empirical
     /// bound on crash rework.
     pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
+        self.cp.max_unit_ios()
     }
 
     /// A human-readable snapshot of the manifest.
     pub fn describe(&self) -> String {
         let mut s = String::from("em-multi-select-manifest v1\n");
-        self.image().encode(&mut s);
+        self.image(self.cp.checkpoints()).encode(&mut s);
         s
     }
 
-    fn image(&self) -> MsImage {
+    fn image(&self, checkpoints: u64) -> MsImage {
         MsImage {
-            input: self.input,
+            input: self.input(),
             m: self.m,
             partitioned: self.partitioned,
             next_group: self.next_group,
-            checkpoints: self.checkpoints,
+            checkpoints,
             ranks: self.ranks.clone(),
             offsets: self.offsets.clone(),
             parts: self
@@ -317,100 +299,35 @@ impl<T: Record> MultiSelectManifest<T> {
         }
     }
 
-    fn begin_unit(&mut self) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, self.ctx.stats().snapshot())
+    /// The input identity `(id, len)`, bound at construction.
+    fn input(&self) -> (u64, u64) {
+        self.cp.input().unwrap_or_default()
     }
 
-    fn end_unit(&mut self, redo: bool, before: Counters) {
-        let spent = self.ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            self.ctx.stats().record_redone_ios(spent);
-        }
+    /// Record a completed work unit: durably commit the manifest image.
+    fn commit(&mut self) -> Result<()> {
+        self.cp.commit(&self.image(self.cp.checkpoints() + 1))
     }
 
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
-    }
-}
-
-/// The checkpointed multi-selection as a [`RecoverableJob`]: drive it with
-/// [`emcore::run_recoverable`]. Borrows the input and its manifest for the
-/// duration of one resume attempt; build a fresh job value per attempt.
-#[derive(Debug)]
-pub struct MultiSelectJob<'a, T: Record> {
-    input: &'a EmFile<T>,
-    manifest: &'a mut MultiSelectManifest<T>,
-}
-
-impl<'a, T: Record> MultiSelectJob<'a, T> {
-    /// A job that selects `manifest`'s ranks from `input`.
-    pub fn new(input: &'a EmFile<T>, manifest: &'a mut MultiSelectManifest<T>) -> Self {
-        Self { input, manifest }
-    }
-}
-
-impl<T: Record> RecoverableJob for MultiSelectJob<'_, T> {
-    type Output = Vec<T>;
-
-    fn kind(&self) -> &'static str {
-        "resume_multi_select"
-    }
-
-    fn journal_name(&self) -> &'static str {
-        MULTI_SELECT_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        // Identity was bound at `MultiSelectManifest::new`; only verify.
-        if self.manifest.input != (self.input.id(), self.input.len()) {
-            return Err(EmError::config(format!(
-                "resume_multi_select: manifest belongs to input (id {}, len {}), \
-                 got (id {}, len {})",
-                self.manifest.input.0,
-                self.manifest.input.1,
-                self.input.id(),
-                self.input.len()
-            )));
-        }
-        Ok(())
-    }
-
-    fn drive(&mut self, ctx: &EmContext) -> Result<Vec<T>> {
+    /// Drive the multi-selection of `input` forward from wherever this
+    /// manifest left off, until completion or the next terminal error.
+    /// Idempotent over failures: only the interrupted work unit is redone
+    /// on the next call. Returns the selected elements in the caller's
+    /// original rank order.
+    pub fn run(&mut self, input: &EmFile<T>) -> Result<Vec<T>> {
+        self.cp.start(input.id(), input.len())?;
+        let ctx = self.cp.ctx().clone();
         let _phase = ctx.stats().phase_guard("multi-select/recoverable");
-        resume_inner(self.input, self.manifest, ctx)
+        resume_inner(input, self, &ctx)
     }
 }
 
 /// One-shot recoverable multi-selection with default options — semantically
 /// identical to [`crate::multi_select`], with checkpointing overhead. Use
-/// [`MultiSelectManifest::new`] + [`MultiSelectJob`] +
-/// [`emcore::run_recoverable`] directly to keep the manifest across
-/// failures.
+/// [`MultiSelectManifest::new`] + [`MultiSelectManifest::run`] directly to
+/// keep the manifest across failures.
 pub fn multi_select_recoverable<T: Record>(input: &EmFile<T>, ranks: &[u64]) -> Result<Vec<T>> {
-    let mut manifest = MultiSelectManifest::new(input, ranks, MsOptions::default())?;
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut MultiSelectJob::new(input, &mut manifest))
-}
-
-/// Drive the multi-selection of `input` forward from wherever `manifest`
-/// left off, until completion or the next terminal error. Idempotent over
-/// failures: only the interrupted work unit is redone on the next call.
-/// Returns the selected elements in the caller's original rank order.
-#[deprecated(note = "use emcore::run_recoverable with emselect::MultiSelectJob")]
-pub fn resume_multi_select<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut MultiSelectManifest<T>,
-) -> Result<Vec<T>> {
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut MultiSelectJob::new(input, manifest))
+    MultiSelectManifest::new(input, ranks, MsOptions::default())?.run(input)
 }
 
 fn resume_inner<T: Record>(
@@ -425,7 +342,7 @@ fn resume_inner<T: Record>(
     // Unit 0: partition prepass at every m-th target rank (only when the
     // rank set spans several groups).
     if !manifest.partitioned {
-        let (redo, before) = manifest.begin_unit();
+        let unit = manifest.cp.begin_unit();
         let boundaries: Vec<u64> = (1..g).map(|i| manifest.sorted[i * m - 1]).collect();
         let parts = multi_partition_at_ranks(input, &boundaries)?;
         debug_assert_eq!(parts.len(), g);
@@ -441,14 +358,14 @@ fn resume_inner<T: Record>(
         manifest.parts = parts;
         manifest.offsets = offsets;
         manifest.partitioned = true;
-        manifest.checkpoint()?;
-        manifest.end_unit(redo, before);
+        manifest.commit()?;
+        manifest.cp.end_unit(unit);
     }
 
     // Units 1..=g: per-group base-case selection.
     while manifest.next_group < g {
         let i = manifest.next_group;
-        let (redo, before) = manifest.begin_unit();
+        let unit = manifest.cp.begin_unit();
         let lo = i * m;
         let hi = ((i + 1) * m).min(k);
         let offset = manifest.offsets[i];
@@ -464,7 +381,7 @@ fn resume_inner<T: Record>(
                     .offsets
                     .get(i + 1)
                     .copied()
-                    .unwrap_or(manifest.input.1);
+                    .unwrap_or(manifest.input().1);
                 end - offset
             });
             multi_select_segs(ctx, manifest.parts[i].segments(), &local, manifest.opts)?
@@ -472,7 +389,7 @@ fn resume_inner<T: Record>(
         manifest.answers.extend(found);
         manifest.next_group += 1;
         // ---- checkpoint: the group's splitter elements are durable ----
-        manifest.checkpoint()?;
+        manifest.commit()?;
         // Only now is the group's partition releasable.
         if g > 1 {
             let part = std::mem::replace(&mut manifest.parts[i], Partition::empty());
@@ -480,7 +397,7 @@ fn resume_inner<T: Record>(
                 s.set_persistent(false);
             }
         }
-        manifest.end_unit(redo, before);
+        manifest.cp.end_unit(unit);
     }
 
     // Map answers (sorted-rank order) back to the caller's order.
@@ -493,8 +410,7 @@ fn resume_inner<T: Record>(
             manifest.answers[i]
         })
         .collect();
-    manifest.done = true;
-    manifest.journal.remove()?;
+    manifest.cp.finish()?;
     Ok(out)
 }
 
@@ -507,13 +423,6 @@ mod tests {
         let mut v: Vec<u64> = (0..n).collect();
         emcore::SplitMix64::new(seed).shuffle(&mut v);
         v
-    }
-
-    /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_multi_select` is only a deprecated shim over exactly this.)
-    fn resume(f: &EmFile<u64>, m: &mut MultiSelectManifest<u64>) -> Result<Vec<u64>> {
-        let c = f.ctx().clone();
-        run_recoverable(&c, &mut MultiSelectJob::new(f, m))
     }
 
     fn many_group_opts() -> MsOptions {
@@ -534,7 +443,7 @@ mod tests {
         let ranks: Vec<u64> = vec![4000, 7, 7, 1500, 3000, 5999, 420, 2222, 808, 1, 6000];
         let want = crate::multi_select(&f, &ranks).unwrap();
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
-        let got = resume(&f, &mut m).unwrap();
+        let got = m.run(&f).unwrap();
         assert_eq!(got, want);
         assert!(m.is_done());
         assert!(m.groups() > 1, "override must force several groups");
@@ -569,10 +478,7 @@ mod tests {
         assert!(MultiSelectManifest::new(&f, &[4], MsOptions::default()).is_err());
     }
 
-    // Keeps the deprecated `resume_multi_select` shim covered until it is
-    // removed; every other test resumes via `run_recoverable` directly.
     #[test]
-    #[allow(deprecated)]
     fn crash_and_resume_preserves_output_and_bounds_rework() {
         let c = EmContext::new_in_memory(EmConfig::tiny());
         let n = 5000u64;
@@ -587,7 +493,7 @@ mod tests {
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
         let mut crashes = 0;
         let got = loop {
-            match resume_multi_select(&f, &mut m) {
+            match m.run(&f) {
                 Ok(out) => break out,
                 Err(EmError::Crashed) => {
                     crashes += 1;
@@ -614,11 +520,11 @@ mod tests {
         let c = EmContext::new_in_memory(EmConfig::tiny());
         let f = EmFile::from_slice(&c, &shuffled(100, 14)).unwrap();
         let mut m = MultiSelectManifest::new(&f, &[50], MsOptions::default()).unwrap();
-        let _ = resume(&f, &mut m).unwrap();
-        assert!(matches!(resume(&f, &mut m), Err(EmError::Config(_))));
+        let _ = m.run(&f).unwrap();
+        assert!(matches!(m.run(&f), Err(EmError::Config(_))));
         let g = EmFile::from_slice(&c, &[1u64, 2]).unwrap();
         let mut m2 = MultiSelectManifest::new(&f, &[50], MsOptions::default()).unwrap();
-        assert!(matches!(resume(&g, &mut m2), Err(EmError::Config(_))));
+        assert!(matches!(m2.run(&g), Err(EmError::Config(_))));
     }
 
     #[test]
@@ -635,7 +541,7 @@ mod tests {
             let p = FaultPlan::new(0);
             c.install_fault_plan(p.clone());
             let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
-            resume(&f, &mut m).unwrap();
+            m.run(&f).unwrap();
             p.attempts()
         };
 
@@ -651,18 +557,19 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(attempts - 5);
         c.install_fault_plan(plan.clone());
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
-        assert!(resume(&f, &mut m).is_err());
+        assert!(m.run(&f).is_err());
         assert!(m.checkpoints() > 0, "crash planted after first checkpoint");
         assert!(meta.exists(), "journal persisted after crash");
         plan.clear_crash();
-        let got = resume(&f, &mut m).unwrap();
+        let got = m.run(&f).unwrap();
         assert_eq!(got.len(), ranks.len());
         assert!(!meta.exists(), "journal removed after completion");
     }
 
-    #[test]
-    fn image_roundtrips_through_journal_encoding() {
-        let img = MsImage {
+    /// A fixed image: three groups, the first already selected and
+    /// released, two answers found.
+    fn golden_image() -> MsImage {
+        MsImage {
             input: (3, 9000),
             m: 4,
             partitioned: true,
@@ -672,10 +579,34 @@ mod tests {
             offsets: vec![0, 60, 120],
             parts: vec![vec![], vec![(7, 60), (8, 60)], vec![(9, 8880)]],
             answers: vec![rec_to_hex(&42u64), rec_to_hex(&u64::MAX)],
-        };
+        }
+    }
+
+    #[test]
+    fn image_roundtrips_through_journal_encoding() {
+        let img = golden_image();
         let mut body = String::new();
         img.encode(&mut body);
         assert_eq!(MsImage::decode(&body).unwrap(), img);
         assert_eq!(rec_from_hex::<u64>(&img.answers[1]).unwrap(), u64::MAX);
+    }
+
+    /// The encoded body of [`golden_image`] is pinned: a change here
+    /// breaks every journal already on disk.
+    #[test]
+    fn journal_encoding_is_pinned() {
+        let mut body = String::new();
+        golden_image().encode(&mut body);
+        assert_eq!(
+            body,
+            "input 3 9000\nm 4\npartitioned true\nnext-group 2\ncheckpoints 3\n\
+             rank 100\nrank 50\nrank 100\noffset 0\noffset 60\noffset 120\n\
+             part 0\npart 1 7 60 8 60\npart 2 9 8880\n\
+             answer 2a00000000000000\nanswer ffffffffffffffff\n"
+        );
+        assert_eq!(
+            (MsImage::KIND, MsImage::VERSION),
+            ("multi-select-manifest", 1)
+        );
     }
 }

@@ -378,12 +378,14 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Accumulate `other` into `self`, field by field — the shard router's
-    /// merge operation. Every field adds, so the merged report reads as a
-    /// *fleet total*: the counters (queries, batches, failures, ...) sum
-    /// exactly, and the point-in-time gauges (memory budget, queue depth,
-    /// open breakers, leases) sum across the member servers' snapshots.
-    /// Summing keeps the conservation laws intact: with every shard
-    /// recording into one shared metrics registry,
+    /// merge operation. The merged report reads as a *fleet total*: the
+    /// counters (queries, batches, failures, ...) sum exactly, and the
+    /// point-in-time gauges (memory budget, queue depth, open breakers,
+    /// leases) sum across the member servers' snapshots. The one
+    /// exception is [`ServeReport::batch_occupancy`], the size of a single
+    /// batch: it merges by `max`, so a fleet never reports a batch larger
+    /// than any member ran. Summing keeps the conservation laws intact:
+    /// with every shard recording into one shared metrics registry,
     /// `family_total("em_serve_query_e2e_us")` equals the merged
     /// [`ServeReport::queries`].
     pub fn absorb(&mut self, other: &ServeReport) {
@@ -408,7 +410,7 @@ impl ServeReport {
         self.lease_denials += other.lease_denials;
         self.mem_degraded += other.mem_degraded;
         self.queue_depth += other.queue_depth;
-        self.batch_occupancy += other.batch_occupancy;
+        self.batch_occupancy = self.batch_occupancy.max(other.batch_occupancy);
     }
 }
 
@@ -1234,7 +1236,6 @@ impl<T: Record> Scheduler<T> {
         match idx.answer_approx(&q.ranks) {
             Ok(Some((values, bound))) => {
                 self.report.degraded += 1;
-                self.ctx.stats().record_degraded_answer();
                 // Record before the reply: the channel's synchronization
                 // then guarantees a resolved ticket's e2e sample is
                 // visible to any scrape the client takes afterwards.
@@ -1291,7 +1292,6 @@ impl<T: Record> Scheduler<T> {
                         continue;
                     }
                     self.report.shed += 1;
-                    self.ctx.stats().record_shed_query();
                     self.observe_e2e(name, q.submitted_us, Outcome::Shed);
                     let _ = q.reply.send(Err(EmError::DeadlineExceeded {
                         deadline_us: d_us,
@@ -1358,7 +1358,6 @@ impl<T: Record> Scheduler<T> {
                 b.state = BreakerState::Open;
                 b.since_us = now_us;
                 self.report.breaker_trips += 1;
-                self.ctx.stats().record_breaker_trip();
                 self.note_breaker(name, BreakerState::Open, true, false);
             }
         }
@@ -1933,6 +1932,22 @@ mod tests {
         assert_eq!(a.degraded, 4);
         assert_eq!(a.mem_budget_words, 150);
         assert_eq!(a.queue_depth, 2);
+        // The most recent batch size is a per-server gauge: it merges by
+        // max, never past the largest member batch.
+        let mut x = ServeReport {
+            batch_occupancy: 3,
+            ..ServeReport::default()
+        };
+        x.absorb(&ServeReport {
+            batch_occupancy: 5,
+            ..ServeReport::default()
+        });
+        assert_eq!(x.batch_occupancy, 5);
+        x.absorb(&ServeReport {
+            batch_occupancy: 3,
+            ..ServeReport::default()
+        });
+        assert_eq!(x.batch_occupancy, 5);
         // Absorbing a default report changes nothing.
         let before = a;
         a.absorb(&ServeReport::default());

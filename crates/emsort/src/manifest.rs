@@ -35,8 +35,8 @@
 //! resumable **across processes**: a fresh context over the same directory
 //! can [`SortManifest::load`] the journal, reopen every run file, sweep
 //! orphaned temporaries of the crashed attempt, and drive the sort to
-//! completion via [`emcore::run_recoverable`] + [`SortJob`]. In-process
-//! recovery uses the live manifest value directly.
+//! completion via [`SortManifest::run`]. In-process recovery uses the live
+//! manifest value directly.
 //!
 //! Journal commits are host-side metadata writes, charged to
 //! [`emcore::Counters::journal_writes`] — not block I/Os. I/O spent
@@ -46,8 +46,8 @@
 //! ## Example: crash and resume
 //!
 //! ```
-//! use emcore::{run_recoverable, EmConfig, EmContext, EmFile, EmError, FaultPlan};
-//! use emsort::{SortJob, SortManifest};
+//! use emcore::{EmConfig, EmContext, EmFile, EmError, FaultPlan};
+//! use emsort::SortManifest;
 //!
 //! let ctx = EmContext::new_in_memory(EmConfig::tiny());
 //! let data: Vec<u64> = (0..1000).rev().collect();
@@ -57,18 +57,14 @@
 //! ctx.install_fault_plan(plan.clone());
 //!
 //! let mut manifest = SortManifest::new(&ctx, None);
-//! let crashed = run_recoverable(&ctx, &mut SortJob::new(&input, &mut manifest));
-//! assert!(matches!(crashed, Err(EmError::Crashed)));
+//! assert!(matches!(manifest.run(&input), Err(EmError::Crashed)));
 //!
 //! plan.clear_crash(); // "restart the machine"
-//! let sorted = run_recoverable(&ctx, &mut SortJob::new(&input, &mut manifest)).unwrap();
+//! let sorted = manifest.run(&input).unwrap();
 //! assert_eq!(sorted.to_vec().unwrap(), (0..1000u64).collect::<Vec<_>>());
 //! ```
 
-use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
-};
+use emcore::{Checkpoint, EmContext, EmError, EmFile, JournalState, Record, Result};
 
 use crate::merge::{max_merge_fan_in, merge_once};
 
@@ -80,9 +76,6 @@ pub const SORT_JOURNAL: &str = "sort-manifest";
 /// directory backend) process restarts via [`SortManifest::load`].
 #[derive(Debug)]
 pub struct SortManifest<T: Record> {
-    /// Input file identity `(id, len)`, pinned at the first resume so a
-    /// journal cannot be replayed against the wrong input.
-    input: Option<(u64, u64)>,
     /// Input records consumed into *completed* runs.
     consumed: u64,
     /// Run formation finished.
@@ -93,18 +86,9 @@ pub struct SortManifest<T: Record> {
     next: Vec<EmFile<T>>,
     /// Merge fan-in (clamped to the memory budget at construction).
     fan_in: usize,
-    /// Completed work units (runs formed + groups merged + level swaps).
-    checkpoints: u64,
-    /// The sort has produced its final output.
-    done: bool,
-    /// Checkpoint index of the unit currently (or last) being executed —
-    /// when a unit starts and this already equals `checkpoints`, the unit
-    /// is a redo of one a crash interrupted.
-    in_flight: Option<u64>,
-    /// Largest I/O cost of any single completed work unit (the empirical
-    /// rework bound a crash can force).
-    max_unit_ios: u64,
-    journal: Journal,
+    /// Journal, input binding and unit accounting (one unit per run
+    /// formed, group merged or level swapped).
+    cp: Checkpoint,
 }
 
 /// Plain serialised image of a [`SortManifest`] — what the journal stores.
@@ -184,50 +168,27 @@ impl<T: Record> SortManifest<T> {
     pub fn new(ctx: &EmContext, fan_in: Option<usize>) -> Self {
         let max = max_merge_fan_in::<T>(ctx.config());
         Self {
-            input: None,
             consumed: 0,
             formed: false,
             runs: Vec::new(),
             next: Vec::new(),
             fan_in: fan_in.unwrap_or(max).clamp(2, max),
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal: Journal::new(ctx, SORT_JOURNAL).expect("valid journal name"),
+            cp: Checkpoint::new(ctx, SORT_JOURNAL, None),
         }
     }
 
     /// Reload an interrupted sort from `ctx`'s backing directory: read the
-    /// `sort-manifest` journal, reopen every run file it references, and
-    /// garbage-collect block files the crashed attempt orphaned (anything
-    /// in the directory referenced by neither the journal nor the recorded
-    /// input). Returns `Ok(None)` when no journal exists.
-    ///
-    /// The sweep assumes one recoverable job per backing directory — every
-    /// live file must be reachable from this journal. Requires a
-    /// directory-backed context (memory-backed block files cannot outlive
-    /// their context).
+    /// `sort-manifest` journal, sweep the crashed attempt's orphans (see
+    /// [`Checkpoint::load`]) and reopen every run file it references.
+    /// Returns `Ok(None)` when no journal exists.
     pub fn load(ctx: &EmContext) -> Result<Option<Self>> {
-        if ctx.backing_dir().is_none() {
-            return Err(EmError::config(
-                "SortManifest::load: cross-process resume requires a directory-backed context",
-            ));
-        }
-        let journal = Journal::new(ctx, SORT_JOURNAL).expect("valid journal name");
-        let Some(img) = journal.load::<SortImage>()? else {
+        let Some((cp, img)) = Checkpoint::load::<SortImage>(ctx, SORT_JOURNAL, |img| {
+            let files = img.runs.iter().chain(&img.next).map(|&(id, _)| id);
+            (img.input, img.checkpoints, files.collect())
+        })?
+        else {
             return Ok(None);
         };
-        let mut keep: Vec<u64> = img
-            .runs
-            .iter()
-            .chain(&img.next)
-            .map(|&(id, _)| id)
-            .collect();
-        if let Some((id, _)) = img.input {
-            keep.push(id);
-        }
-        ctx.gc_orphans(&keep)?;
         let reopen = |files: &[(u64, u64)]| -> Result<Vec<EmFile<T>>> {
             files
                 .iter()
@@ -235,17 +196,12 @@ impl<T: Record> SortManifest<T> {
                 .collect()
         };
         Ok(Some(Self {
-            input: img.input,
             consumed: img.consumed,
             formed: img.formed,
             runs: reopen(&img.runs)?,
             next: reopen(&img.next)?,
             fan_in: img.fan_in.max(2),
-            checkpoints: img.checkpoints,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
+            cp,
         }))
     }
 
@@ -261,12 +217,12 @@ impl<T: Record> SortManifest<T> {
 
     /// Whether the sort has completed and yielded its output.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.cp.is_done()
     }
 
     /// Completed work units so far (each one a checkpoint).
     pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
+        self.cp.checkpoints()
     }
 
     /// Sorted runs currently held (current level + completed outputs).
@@ -277,129 +233,67 @@ impl<T: Record> SortManifest<T> {
     /// The `(id, len)` of the input file this manifest sorts, once known —
     /// what a resuming process passes to [`emcore::EmContext::open_file`].
     pub fn input(&self) -> Option<(u64, u64)> {
-        self.input
+        self.cp.input()
     }
 
     /// Largest I/O cost of any single work unit completed through this
     /// manifest value — the empirical bound on crash rework.
     pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
+        self.cp.max_unit_ios()
     }
 
     /// A human-readable snapshot of the manifest.
     pub fn describe(&self) -> String {
         let mut s = String::from("em-sort-manifest v1\n");
-        self.image().encode(&mut s);
+        self.image(self.cp.checkpoints()).encode(&mut s);
         s
     }
 
-    fn image(&self) -> SortImage {
+    fn image(&self, checkpoints: u64) -> SortImage {
         SortImage {
-            input: self.input,
+            input: self.cp.input(),
             consumed: self.consumed,
             formed: self.formed,
             fan_in: self.fan_in,
-            checkpoints: self.checkpoints,
+            checkpoints,
             runs: self.runs.iter().map(|r| (r.id(), r.len())).collect(),
             next: self.next.iter().map(|r| (r.id(), r.len())).collect(),
         }
     }
 
-    /// Begin a work unit: returns whether this is a redo of an interrupted
-    /// unit, plus the counter snapshot to diff at the end.
-    fn begin_unit(&mut self, ctx: &EmContext) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, ctx.stats().snapshot())
-    }
-
-    /// Account a completed unit's I/O (and its rework, if it was a redo).
-    fn end_unit(&mut self, ctx: &EmContext, redo: bool, before: Counters) {
-        let spent = ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            ctx.stats().record_redone_ios(spent);
-        }
-    }
-
     /// Record a completed work unit: durably commit the manifest image.
-    fn checkpoint(&mut self, _ctx: &EmContext) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
+    fn commit(&mut self) -> Result<()> {
+        self.cp.commit(&self.image(self.cp.checkpoints() + 1))
     }
 
-    fn finish(&mut self) -> Result<()> {
-        self.done = true;
-        self.journal.remove()
-    }
-}
-
-/// The checkpointed external sort as a [`RecoverableJob`]: drive it with
-/// [`emcore::run_recoverable`]. Borrows the input and its manifest for the
-/// duration of one resume attempt; build a fresh job value per attempt.
-#[derive(Debug)]
-pub struct SortJob<'a, T: Record> {
-    input: &'a EmFile<T>,
-    manifest: &'a mut SortManifest<T>,
-}
-
-impl<'a, T: Record> SortJob<'a, T> {
-    /// A job that sorts `input`, checkpointing through `manifest`.
-    pub fn new(input: &'a EmFile<T>, manifest: &'a mut SortManifest<T>) -> Self {
-        Self { input, manifest }
-    }
-}
-
-impl<T: Record> RecoverableJob for SortJob<'_, T> {
-    type Output = EmFile<T>;
-
-    fn kind(&self) -> &'static str {
-        "resume_sort"
-    }
-
-    fn journal_name(&self) -> &'static str {
-        SORT_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        match self.manifest.input {
-            None => {
-                self.manifest.input = Some((self.input.id(), self.input.len()));
-                Ok(())
-            }
-            Some((id, len)) if (id, len) != (self.input.id(), self.input.len()) => {
-                Err(EmError::config(format!(
-                    "resume_sort: manifest belongs to input (id {id}, len {len}), \
-                     got (id {}, len {})",
-                    self.input.id(),
-                    self.input.len()
-                )))
-            }
-            Some(_) => Ok(()),
-        }
-    }
-
-    fn drive(&mut self, ctx: &EmContext) -> Result<EmFile<T>> {
+    /// Drive the sort of `input` forward from wherever this manifest left
+    /// off, until completion or the next terminal error.
+    ///
+    /// Idempotent over failures: call once on a fresh manifest to start,
+    /// and call again after handling an error (e.g. clearing a simulated
+    /// crash with [`emcore::FaultPlan::clear_crash`]) — only the
+    /// interrupted work unit is redone. Returns the sorted output;
+    /// afterwards the manifest is [`SortManifest::is_done`] and refuses
+    /// another run, as it does an input other than the one it is bound to.
+    pub fn run(&mut self, input: &EmFile<T>) -> Result<EmFile<T>> {
+        self.cp.start(input.id(), input.len())?;
+        let ctx = self.cp.ctx().clone();
         let stats = ctx.stats().clone();
 
         // Phase 1: run formation, resumable at `consumed` records.
-        if !self.manifest.formed {
+        if !self.formed {
             let phase = stats.phase_guard("sort/run-formation");
-            let r = form_remaining_runs(self.input, self.manifest, ctx);
+            let r = form_remaining_runs(input, self, &ctx);
             drop(phase);
             r?;
         }
 
         // Phase 2: merge passes, resumable at merge-group granularity.
         let phase = stats.phase_guard("sort/merge");
-        let r = merge_remaining(self.manifest, ctx);
+        let r = merge_remaining(self, &ctx);
         drop(phase);
         let out = r?;
-        self.manifest.finish()?;
+        self.cp.finish()?;
         // The output leaves the manifest's custody: normal drop semantics.
         out.set_persistent(false);
         Ok(out)
@@ -408,30 +302,11 @@ impl<T: Record> RecoverableJob for SortJob<'_, T> {
 
 /// Sort `input` with checkpointing — semantically identical to
 /// [`crate::external_sort`] (load-sort runs), but any recoverable failure
-/// leaves a resumable [`SortManifest`] behind via [`SortJob`] +
-/// [`emcore::run_recoverable`]. For a one-shot call the manifest is
-/// internal; keep your own manifest to survive failures.
+/// leaves a resumable [`SortManifest`] behind. For a one-shot call the
+/// manifest is internal; keep your own and call [`SortManifest::run`] to
+/// survive failures.
 pub fn external_sort_recoverable<T: Record>(input: &EmFile<T>) -> Result<EmFile<T>> {
-    let ctx = input.ctx().clone();
-    let mut manifest = SortManifest::new(&ctx, None);
-    run_recoverable(&ctx, &mut SortJob::new(input, &mut manifest))
-}
-
-/// Drive the sort of `input` forward from wherever `manifest` left off,
-/// until completion or the next terminal error.
-///
-/// Idempotent over failures: call once on a fresh manifest to start, and
-/// call again with the same manifest after handling an error (e.g. clearing
-/// a simulated crash with [`emcore::FaultPlan::clear_crash`]) — only the
-/// interrupted work unit is redone. Returns the sorted output; afterwards
-/// the manifest is [`SortManifest::is_done`] and must not be reused.
-#[deprecated(note = "use emcore::run_recoverable with emsort::SortJob")]
-pub fn resume_sort<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut SortManifest<T>,
-) -> Result<EmFile<T>> {
-    let ctx = input.ctx().clone();
-    run_recoverable(&ctx, &mut SortJob::new(input, manifest))
+    SortManifest::new(input.ctx(), None).run(input)
 }
 
 fn form_remaining_runs<T: Record>(
@@ -452,11 +327,11 @@ fn form_remaining_runs<T: Record>(
             want,
             "recoverable run formation load buffer",
         )?;
-        let (redo, before) = manifest.begin_unit(ctx);
+        let unit = manifest.cp.begin_unit();
         // Trace-only span per work unit: redo points land inside it.
         let _unit = ctx
             .stats()
-            .trace_span(|| format!("unit/run#{}", manifest.checkpoints));
+            .trace_span(|| format!("unit/run#{}", manifest.cp.checkpoints()));
         // A fresh positioned reader each unit: a crashed unit must not
         // leave reader state behind, and positioning costs ≤ 1 extra I/O.
         let mut reader = input.reader_at(manifest.consumed)?;
@@ -476,11 +351,11 @@ fn form_remaining_runs<T: Record>(
         run.set_persistent(true);
         manifest.consumed += run.len();
         manifest.runs.push(run);
-        manifest.checkpoint(ctx)?;
-        manifest.end_unit(ctx, redo, before);
+        manifest.commit()?;
+        manifest.cp.end_unit(unit);
     }
     manifest.formed = true;
-    manifest.checkpoint(ctx)?;
+    manifest.commit()?;
     Ok(())
 }
 
@@ -496,7 +371,7 @@ fn merge_remaining<T: Record>(
                 // ---- checkpoint: level complete, outputs become inputs ----
                 _ => {
                     manifest.runs = std::mem::take(&mut manifest.next);
-                    manifest.checkpoint(ctx)?;
+                    manifest.commit()?;
                 }
             }
             continue;
@@ -509,15 +384,15 @@ fn merge_remaining<T: Record>(
             // it alone would copy every block for nothing.
             let run = manifest.runs.pop().ok_or_else(level_underflow)?;
             manifest.next.push(run);
-            manifest.checkpoint(ctx)?;
+            manifest.commit()?;
             continue;
         }
         let g = manifest.fan_in.min(manifest.runs.len());
-        let (redo, before) = manifest.begin_unit(ctx);
+        let unit = manifest.cp.begin_unit();
         // Trace-only span per work unit: redo points land inside it.
         let _unit = ctx
             .stats()
-            .trace_span(|| format!("unit/merge#{}", manifest.checkpoints));
+            .trace_span(|| format!("unit/merge#{}", manifest.cp.checkpoints()));
         // Merge the group *before* releasing its inputs: a crash inside
         // merge_once drops only the partial output file, and the manifest
         // still owns every input run for the redo.
@@ -531,8 +406,8 @@ fn merge_remaining<T: Record>(
         }
         manifest.runs.drain(..g); // frees the merged runs' storage
                                   // ---- checkpoint: group complete ----
-        manifest.checkpoint(ctx)?;
-        manifest.end_unit(ctx, redo, before);
+        manifest.commit()?;
+        manifest.cp.end_unit(unit);
     }
 }
 
@@ -547,13 +422,6 @@ mod tests {
 
     fn ctx() -> EmContext {
         EmContext::new_in_memory_strict(EmConfig::tiny()) // M=256, B=16
-    }
-
-    /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_sort` is only a deprecated shim over exactly this.)
-    fn resume(f: &EmFile<u64>, m: &mut SortManifest<u64>) -> Result<EmFile<u64>> {
-        let c = f.ctx().clone();
-        run_recoverable(&c, &mut SortJob::new(f, m))
     }
 
     fn shuffled(n: u64) -> Vec<u64> {
@@ -616,10 +484,7 @@ mod tests {
         );
     }
 
-    // Keeps the deprecated `resume_sort` shim covered until it is removed;
-    // every other test resumes via `run_recoverable` directly.
     #[test]
-    #[allow(deprecated)]
     fn crash_then_resume_completes() {
         let c = ctx();
         let data = shuffled(1500);
@@ -627,11 +492,11 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(40);
         c.install_fault_plan(plan.clone());
         let mut m = SortManifest::new(&c, None);
-        assert!(matches!(resume(&f, &mut m), Err(EmError::Crashed)));
+        assert!(matches!(m.run(&f), Err(EmError::Crashed)));
         assert!(!m.is_done());
         assert!(m.checkpoints() > 0, "work before the crash was kept");
         plan.clear_crash();
-        let sorted = resume(&f, &mut m).unwrap();
+        let sorted = m.run(&f).unwrap();
         assert!(m.is_done());
         let mut want = data;
         want.sort_unstable();
@@ -671,8 +536,8 @@ mod tests {
         let c = ctx();
         let f = EmFile::from_slice(&c, &[3u64, 1, 2]).unwrap();
         let mut m = SortManifest::new(&c, None);
-        let _ = resume(&f, &mut m).unwrap();
-        assert!(matches!(resume(&f, &mut m), Err(EmError::Config(_))));
+        let _ = m.run(&f).unwrap();
+        assert!(matches!(m.run(&f), Err(EmError::Config(_))));
     }
 
     #[test]
@@ -682,13 +547,13 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(20);
         c.install_fault_plan(plan.clone());
         let mut m = SortManifest::new(&c, None);
-        assert!(resume(&f, &mut m).is_err());
+        assert!(m.run(&f).is_err());
         plan.clear_crash();
         c.clear_fault_plan();
         let other = EmFile::from_slice(&c, &[1u64, 2, 3]).unwrap();
-        assert!(matches!(resume(&other, &mut m), Err(EmError::Config(_))));
+        assert!(matches!(m.run(&other), Err(EmError::Config(_))));
         // The right input still resumes fine.
-        let sorted = resume(&f, &mut m).unwrap();
+        let sorted = m.run(&f).unwrap();
         assert_eq!(sorted.len(), 600);
     }
 
@@ -701,12 +566,12 @@ mod tests {
         let plan = FaultPlan::new(0).fatal_at(200);
         c.install_fault_plan(plan.clone());
         let mut m = SortManifest::new(&c, None);
-        assert!(resume(&f, &mut m).is_err());
+        assert!(m.run(&f).is_err());
         let doc = std::fs::read_to_string(&meta).expect("journal exists after crash");
         assert!(doc.starts_with("emjournal v2 sort-manifest"));
         assert!(doc.contains("consumed"));
         plan.clear_crash();
-        let _ = resume(&f, &mut m).unwrap();
+        let _ = m.run(&f).unwrap();
         assert!(!meta.exists(), "journal removed after completion");
     }
 
@@ -724,6 +589,72 @@ mod tests {
         let mut body = String::new();
         img.encode(&mut body);
         assert_eq!(SortImage::decode(&body).unwrap(), img);
+    }
+
+    /// A fixed image: the input, two runs and one merged output, as a
+    /// resuming process would find them on disk.
+    fn golden_image() -> SortImage {
+        SortImage {
+            input: Some((0, 40)),
+            consumed: 40,
+            formed: true,
+            fan_in: 4,
+            checkpoints: 5,
+            runs: vec![(1, 16), (2, 16)],
+            next: vec![(3, 8)],
+        }
+    }
+
+    /// Encoded body of [`golden_image`], as written by the `v1` image
+    /// layout. A change here breaks every journal already on disk.
+    const GOLDEN_BODY: &str = "consumed 40\nformed true\nfan_in 4\ncheckpoints 5\n\
+        input 0 40\nrun 1 16\nrun 2 16\nmerged 3 8\n";
+
+    /// The whole committed document for [`golden_image`].
+    const GOLDEN_DOC: &str = "emjournal v2 sort-manifest 1 87 d0d2ae8d65327c42\n\
+        consumed 40\nformed true\nfan_in 4\ncheckpoints 5\n\
+        input 0 40\nrun 1 16\nrun 2 16\nmerged 3 8\n";
+
+    #[test]
+    fn journal_encoding_is_pinned() {
+        let mut body = String::new();
+        golden_image().encode(&mut body);
+        assert_eq!(body, GOLDEN_BODY);
+        assert!(GOLDEN_DOC.ends_with(GOLDEN_BODY));
+        assert_eq!((SortImage::KIND, SortImage::VERSION), ("sort-manifest", 1));
+    }
+
+    #[test]
+    fn golden_document_loads_and_resumes_from_a_directory() {
+        let dir = std::env::temp_dir().join(format!("emsort-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let data: Vec<u64> = (0..40).collect();
+        {
+            // Files 0..=3 are the ones the document references; 4 is an
+            // orphan of the "crashed" attempt.
+            let c = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+            for len in [40, 16, 16, 8, 5] {
+                EmFile::from_slice(&c, &data[..len])
+                    .unwrap()
+                    .set_persistent(true);
+            }
+            std::fs::write(dir.join("sort-manifest.journal"), GOLDEN_DOC).unwrap();
+        }
+        let c = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+        let mut m = SortManifest::<u64>::load(&c)
+            .unwrap()
+            .expect("journal exists");
+        assert_eq!(m.describe(), format!("em-sort-manifest v1\n{GOLDEN_BODY}"));
+        assert_eq!(m.num_runs(), 3);
+        assert_eq!(c.list_file_ids().unwrap(), vec![0, 1, 2, 3], "orphan swept");
+        let input = c.open_file::<u64>(0, 40).unwrap();
+        let sorted = m.run(&input).unwrap();
+        let mut want: Vec<u64> = [&data[..16], &data[..16], &data[..8]].concat();
+        want.sort_unstable();
+        assert_eq!(sorted.to_vec().unwrap(), want);
+        assert!(!dir.join("sort-manifest.journal").exists());
+        drop((sorted, input, m, c));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -73,35 +73,32 @@ pub mod prelude {
         approx_partitioning, approx_partitioning_recoverable, approx_splitters, balanced_loads,
         equi_depth_histogram, median, precise_partitioning, precise_via_approx,
         sort_based_partitioning, sort_based_splitters, top_k, verify_multiselect,
-        verify_partitioning, verify_splitters, Groundedness, PartitionJob, PartitionManifest,
-        ProblemSpec, ProblemSpecBuilder,
+        verify_partitioning, verify_splitters, Groundedness, PartitionManifest, ProblemSpec,
+        ProblemSpecBuilder,
     };
     pub use emcore::metrics::render_series_report;
     pub use emcore::{
-        run_recoverable, BlockCache, Clock, EmConfig, EmContext, EmError, EmFile, FaultPlan,
-        HistogramSnapshot, Journal, JsonlSink, ManualClock, MetricSample, MetricsRegistry,
-        MetricsSnapshot, Record, RecoverableJob, Result, RetryPolicy, RingSink, Sampler,
-        TraceReport, TraceSink, WallClock,
+        BlockCache, Clock, EmConfig, EmContext, EmError, EmFile, FaultPlan, HistogramSnapshot,
+        Journal, JsonlSink, ManualClock, MetricSample, MetricsRegistry, MetricsSnapshot, Record,
+        Result, RetryPolicy, RingSink, Sampler, TraceReport, TraceSink, WallClock,
     };
     pub use emgraph::{
         build_graph, cluster, cluster_buckets, cluster_sizes, count_clusters, degree_buckets,
         edges_from_pairs, labels_digest, rebind_graph, register_cluster_sizes, register_clustering,
-        score_buckets, Buckets, BuildOptions, ClusterJob, ClusterManifest, ClusterOptions,
-        Clustering, Edge, Graph,
+        score_buckets, Buckets, BuildOptions, ClusterManifest, ClusterOptions, Clustering, Edge,
+        Graph,
     };
     pub use emselect::{
-        multi_select, multi_select_recoverable, quantiles, select_rank, MsOptions, MultiSelectJob,
+        multi_select, multi_select_recoverable, quantiles, select_rank, MsOptions,
         MultiSelectManifest, Partition,
     };
-    #[allow(deprecated)]
-    pub use emserve::serve_lines;
     pub use emserve::{
         serve_session, shard_fleet_in_memory, shard_fleet_on_disk, BreakerState, Catalog,
         QueryAnswer, QueryOptions, QueryServer, QueryService, Request, Response, Router,
         ServeOptions, ServeReport, ServiceTicket, ShardMap, SplitterIndex, PROTOCOL_VERSION,
     };
     pub use emsort::{
-        external_sort, external_sort_recoverable, parallel_external_sort, SortJob, SortManifest,
+        external_sort, external_sort_recoverable, parallel_external_sort, SortManifest,
     };
     pub use workloads::{
         degree_histogram, generate, grid_edges, materialize, rmat_edges, Workload,

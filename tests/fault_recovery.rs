@@ -14,10 +14,10 @@
 
 use em_splitters::prelude::*;
 use emcore::{EmError, FaultKind, FaultPlan, FaultSpec, RetryPolicy, SplitMix64, Trigger};
-use emselect::{multi_select_recoverable, MsOptions, MultiSelectJob, MultiSelectManifest};
-use emsort::{external_sort_recoverable, SortJob, SortManifest};
+use emselect::{multi_select_recoverable, MsOptions, MultiSelectManifest};
+use emsort::{external_sort_recoverable, SortManifest};
 
-use apsplit::{approx_partitioning_recoverable, PartitionJob, PartitionManifest};
+use apsplit::{approx_partitioning_recoverable, PartitionManifest};
 
 fn shuffled(n: u64, seed: u64) -> Vec<u64> {
     let mut v: Vec<u64> = (0..n).collect();
@@ -114,13 +114,13 @@ fn crash_at_any_io_plus_resume_bounds_redone_work() {
         c.install_fault_plan(plan.clone());
 
         let mut manifest = SortManifest::new(&c, None);
-        let first = run_recoverable(&c, &mut SortJob::new(&f, &mut manifest));
+        let first = manifest.run(&f);
         assert!(
             matches!(first, Err(EmError::Crashed)),
             "crash_at={crash_at}: expected a crash"
         );
         plan.clear_crash();
-        let sorted = run_recoverable(&c, &mut SortJob::new(&f, &mut manifest)).unwrap();
+        let sorted = manifest.run(&f).unwrap();
         assert_eq!(
             c.oracle(|| sorted.to_vec()).unwrap(),
             want,
@@ -160,7 +160,7 @@ fn repeated_crashes_still_converge() {
     let mut manifest = SortManifest::new(&c, None);
     let mut crashes = 0;
     let sorted = loop {
-        match run_recoverable(&c, &mut SortJob::new(&f, &mut manifest)) {
+        match manifest.run(&f) {
             Ok(out) => break out,
             Err(EmError::Crashed) => {
                 crashes += 1;
@@ -313,10 +313,7 @@ fn multi_select_crash_sweep_exhaustive() {
 
     let attempts = count_attempts(&data, |_, f| {
         let mut m = MultiSelectManifest::new(f, &ranks, opts).unwrap();
-        assert_eq!(
-            run_recoverable(f.ctx(), &mut MultiSelectJob::new(f, &mut m)).unwrap(),
-            want
-        );
+        assert_eq!(m.run(f).unwrap(), want);
     });
 
     for crash_at in 0..attempts {
@@ -326,14 +323,11 @@ fn multi_select_crash_sweep_exhaustive() {
         c.install_fault_plan(plan.clone());
         let mut m = MultiSelectManifest::new(&f, &ranks, opts).unwrap();
         assert!(
-            matches!(
-                run_recoverable(&c, &mut MultiSelectJob::new(&f, &mut m)),
-                Err(EmError::Crashed)
-            ),
+            matches!(m.run(&f), Err(EmError::Crashed)),
             "crash_at={crash_at}: expected a crash"
         );
         plan.clear_crash();
-        let got = run_recoverable(&c, &mut MultiSelectJob::new(&f, &mut m)).unwrap();
+        let got = m.run(&f).unwrap();
         assert_eq!(got, want, "crash_at={crash_at}");
         let stats = c.stats().snapshot();
         assert!(
@@ -368,14 +362,11 @@ fn partitioning_crash_sweep_exhaustive() {
         c.install_fault_plan(plan.clone());
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
         assert!(
-            matches!(
-                run_recoverable(&c, &mut PartitionJob::new(&f, &mut m)),
-                Err(EmError::Crashed)
-            ),
+            matches!(m.run(&f), Err(EmError::Crashed)),
             "crash_at={crash_at}: expected a crash"
         );
         plan.clear_crash();
-        let parts = run_recoverable(&c, &mut PartitionJob::new(&f, &mut m)).unwrap();
+        let parts = m.run(&f).unwrap();
         let got: Vec<Vec<u64>> = c
             .oracle(|| parts.iter().map(|p| p.to_vec()).collect::<Result<_>>())
             .unwrap();
@@ -420,10 +411,7 @@ fn sort_manifest_survives_process_restart_on_disk() {
         let plan = FaultPlan::new(0).fatal_at(attempts * 2 / 3);
         c1.install_fault_plan(plan.clone());
         let mut m = SortManifest::new(&c1, None);
-        assert!(matches!(
-            run_recoverable(&c1, &mut SortJob::new(&f, &mut m)),
-            Err(EmError::Crashed)
-        ));
+        assert!(matches!(m.run(&f), Err(EmError::Crashed)));
         assert!(m.checkpoints() > 0, "crash landed after checkpoints");
         (f.id(), f.len())
         // c1, f, m all drop here: the "process" dies.
@@ -455,7 +443,7 @@ fn sort_manifest_survives_process_restart_on_disk() {
             !dir.join("sort-manifest.journal.tmp").exists(),
             "stale journal temp file must be garbage-collected on load"
         );
-        let sorted = run_recoverable(&c2, &mut SortJob::new(&f2, &mut m)).unwrap();
+        let sorted = m.run(&f2).unwrap();
         assert_eq!(c2.oracle(|| sorted.to_vec()).unwrap(), want);
         assert!(!dir.join("sort-manifest.journal").exists());
         f2.set_persistent(false); // let the input delete on drop

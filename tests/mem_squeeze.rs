@@ -235,7 +235,7 @@ fn squeeze_inside_killed_job_resumes_with_bounded_rework() {
         .paused(|| EmFile::from_slice(&clean, &data))
         .unwrap();
     let mut cm = SortManifest::new(&clean, None);
-    run_recoverable(&clean, &mut SortJob::new(&cf, &mut cm)).unwrap();
+    cm.run(&cf).unwrap();
     let clean_ios = clean.stats().snapshot().total_ios();
 
     let ctx = EmContext::new_in_memory(EmConfig::new(256, 16).unwrap());
@@ -250,7 +250,7 @@ fn squeeze_inside_killed_job_resumes_with_bounded_rework() {
     let plan = FaultPlan::new(0).fatal_at(60);
     ctx.install_fault_plan(plan.clone());
     let mut manifest = SortManifest::new(&ctx, None);
-    let first = run_recoverable(&ctx, &mut SortJob::new(&f, &mut manifest));
+    let first = manifest.run(&f);
     assert!(matches!(first, Err(EmError::Crashed)), "got {first:?}");
 
     // Restore the budget and resume: completed units stay done (smaller,
@@ -258,7 +258,7 @@ fn squeeze_inside_killed_job_resumes_with_bounded_rework() {
     // interrupted unit is redone.
     plan.clear_crash();
     ctx.set_mem_budget(full).unwrap();
-    let sorted = run_recoverable(&ctx, &mut SortJob::new(&f, &mut manifest)).unwrap();
+    let sorted = manifest.run(&f).unwrap();
     assert_eq!(ctx.oracle(|| sorted.to_vec()).unwrap(), want);
 
     // Rework bound: squeezing to M/4 shrinks units, so the redone unit is

@@ -4,7 +4,7 @@
 
 use em_splitters::prelude::*;
 use emcore::{EmError, FaultKind, FaultPlan, PointKind, SplitMix64, TraceEvent};
-use emsort::{SortJob, SortManifest};
+use emsort::SortManifest;
 
 fn shuffled(n: u64, seed: u64) -> Vec<u64> {
     let mut v: Vec<u64> = (0..n).collect();
@@ -84,10 +84,10 @@ fn traced_resume_attributes_redone_work() {
     c.install_fault_plan(plan.clone());
 
     let mut manifest = SortManifest::new(&c, None);
-    let first = run_recoverable(&c, &mut SortJob::new(&f, &mut manifest));
+    let first = manifest.run(&f);
     assert!(matches!(first, Err(EmError::Crashed)));
     plan.clear_crash();
-    let sorted = run_recoverable(&c, &mut SortJob::new(&f, &mut manifest)).unwrap();
+    let sorted = manifest.run(&f).unwrap();
     let mut want = data.clone();
     want.sort_unstable();
     assert_eq!(c.oracle(|| sorted.to_vec()).unwrap(), want);
