@@ -48,9 +48,10 @@ pub fn equi_depth_histogram<T: Record>(
     // Count bucket depths with one scan.
     let mut counts = vec![0u64; k as usize];
     let mut r = input.reader()?;
-    while let Some(x) = r.next()? {
-        let j = splitters.partition_point(|s| s.key() < x.key());
-        counts[j] += 1;
+    while let Some(blk) = r.next_block()? {
+        for x in blk {
+            counts[splitters.partition_point(|s| s.key() < x.key())] += 1;
+        }
     }
     Ok(EquiDepthHistogram {
         boundaries: splitters.iter().map(|s| s.key()).collect(),
@@ -82,10 +83,8 @@ pub fn top_k<T: Record>(input: &EmFile<T>, k: u64) -> Result<emselect::Partition
         return Ok(emselect::Partition::empty());
     }
     if k == n {
-        let ctx = input.ctx().clone();
-        let mut w = ctx.writer::<T>()?;
-        emselect::stream_into(input, |x| w.push(x))?;
-        return Ok(emselect::Partition::from_file(w.finish()?));
+        let copy = emselect::copy_segs(input.ctx(), std::slice::from_ref(input))?;
+        return Ok(emselect::Partition::from_file(copy));
     }
     let (_low, high, _) = emselect::split_at_rank(input, n - k)?;
     Ok(high)
@@ -101,10 +100,8 @@ pub fn bottom_k<T: Record>(input: &EmFile<T>, k: u64) -> Result<emselect::Partit
         return Ok(emselect::Partition::empty());
     }
     if k == n {
-        let ctx = input.ctx().clone();
-        let mut w = ctx.writer::<T>()?;
-        emselect::stream_into(input, |x| w.push(x))?;
-        return Ok(emselect::Partition::from_file(w.finish()?));
+        let copy = emselect::copy_segs(input.ctx(), std::slice::from_ref(input))?;
+        return Ok(emselect::Partition::from_file(copy));
     }
     let (low, _high, _) = emselect::split_at_rank(input, k)?;
     Ok(low)

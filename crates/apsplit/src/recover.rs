@@ -366,12 +366,7 @@ fn resume_inner<T: Record>(
             let part = if is_root {
                 // K = 1 (or a degenerate spec): materialise a copy so the
                 // output owns its storage, like the non-recoverable path.
-                let mut w = ctx.writer::<T>()?;
-                let mut r = input.reader()?;
-                while let Some(x) = r.next()? {
-                    w.push(x)?;
-                }
-                let f = w.finish()?;
+                let f = emselect::copy_segs(ctx, std::slice::from_ref(input))?;
                 f.set_persistent(true);
                 Partition::from_file(f)
             } else {

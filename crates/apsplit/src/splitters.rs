@@ -78,10 +78,10 @@ fn take_prefix<T: Record>(input: &EmFile<T>, count: u64) -> Result<EmFile<T>> {
     let mut r = input.reader()?;
     let mut taken = 0u64;
     while taken < count {
-        match r.next()? {
-            Some(x) => {
-                w.push(x)?;
-                taken += 1;
+        match r.next_block_upto(usize::try_from(count - taken).unwrap_or(usize::MAX))? {
+            Some(blk) => {
+                w.push_all(blk)?;
+                taken += blk.len() as u64;
             }
             None => {
                 return Err(EmError::config(format!(

@@ -609,9 +609,7 @@ impl<T: Record> EmFile<T> {
     /// Build a file from a slice, charging the write scan.
     pub fn from_slice(ctx: &EmContext, data: &[T]) -> Result<Self> {
         let mut w = ctx.writer::<T>()?;
-        for &x in data {
-            w.push(x)?;
-        }
+        w.push_all(data)?;
         w.finish()
     }
 }
@@ -701,21 +699,35 @@ impl<'a, T: Record> Reader<'a, T> {
         Ok(Some(r))
     }
 
-    /// Peek at the next record without consuming it.
-    pub fn peek(&mut self) -> Result<Option<T>> {
+    /// The unconsumed rest of the current block, fetching the next block
+    /// (one read I/O) when the current one is used up; `None` at end of
+    /// file. The first slice of a positioned reader starts at its offset.
+    /// Never returns an empty slice.
+    pub fn next_block(&mut self) -> Result<Option<&[T]>> {
+        self.next_block_upto(usize::MAX)
+    }
+
+    /// Like [`Reader::next_block`], but consumes at most `max` (≥ 1)
+    /// records; the rest of the block stays for the next call, so a load
+    /// can stop mid-block.
+    pub fn next_block_upto(&mut self, max: usize) -> Result<Option<&[T]>> {
+        debug_assert!(max > 0, "next_block_upto(0) would never advance");
         if !self.fill()? {
             return Ok(None);
         }
-        Ok(Some(self.buf[self.pos]))
+        let start = self.pos;
+        self.pos = self.buf.len().min(start.saturating_add(max));
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Records remaining (including any buffered).
     pub fn remaining(&self) -> u64 {
-        let consumed = (self.next_block.saturating_sub(1)) * self.file.block_capacity() as u64;
-        let consumed = if self.next_block == 0 {
-            0
+        let cap = self.file.block_capacity() as u64;
+        let consumed = if self.buf.is_empty() {
+            // Nothing fetched yet: a positioned reader starts at its offset.
+            self.next_block * cap + self.skip as u64
         } else {
-            consumed + self.pos as u64
+            (self.next_block - 1) * cap + self.pos as u64
         };
         self.file.len() - consumed.min(self.file.len())
     }
@@ -726,29 +738,40 @@ impl<'a, T: Record> Reader<'a, T> {
 pub struct Writer<T: Record> {
     file: EmFile<T>,
     buf: TrackedVec<T>,
+    /// The file's block capacity, cached off the per-record path.
+    block: usize,
 }
 
 impl<T: Record> Writer<T> {
     pub(crate) fn new(ctx: EmContext) -> Result<Self> {
         let file = ctx.create_file::<T>()?;
-        let buf = ctx.try_tracked_vec::<T>(file.block_capacity(), "writer block buffer")?;
-        Ok(Self { file, buf })
+        let block = file.block_capacity();
+        let buf = ctx.try_tracked_vec::<T>(block, "writer block buffer")?;
+        Ok(Self { file, buf, block })
     }
 
     /// Append one record.
     pub fn push(&mut self, rec: T) -> Result<()> {
         self.buf.push(rec);
-        if self.buf.len() == self.file.block_capacity() {
+        if self.buf.len() == self.block {
             self.file.append_block(&self.buf)?;
             self.buf.clear();
         }
         Ok(())
     }
 
-    /// Append every record of a slice.
-    pub fn push_all(&mut self, recs: &[T]) -> Result<()> {
-        for &r in recs {
-            self.push(r)?;
+    /// Append every record of a slice, copying up to each block boundary
+    /// at a time. Writes exactly the blocks per-record [`Writer::push`]
+    /// would, in the same order.
+    pub fn push_all(&mut self, mut recs: &[T]) -> Result<()> {
+        while !recs.is_empty() {
+            let (head, rest) = recs.split_at((self.block - self.buf.len()).min(recs.len()));
+            self.buf.try_extend_from_slice(head)?;
+            recs = rest;
+            if self.buf.len() == self.block {
+                self.file.append_block(&self.buf)?;
+                self.buf.clear();
+            }
         }
         Ok(())
     }
@@ -938,18 +961,163 @@ mod tests {
         assert_eq!(got, data);
     }
 
+    fn both_backends() -> [EmContext; 2] {
+        [
+            mem_ctx(),
+            EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap(),
+        ]
+    }
+
+    /// Drain `r` with `next_block`, returning each slice's records and the
+    /// `remaining()` seen after it.
+    fn drain_blocks(r: &mut Reader<'_, u64>) -> Vec<(Vec<u64>, u64)> {
+        let mut out = Vec::new();
+        while let Some(blk) = r.next_block().unwrap() {
+            let blk = blk.to_vec();
+            out.push((blk, r.remaining()));
+        }
+        out
+    }
+
     #[test]
-    fn reader_peek_does_not_consume() {
-        let ctx = mem_ctx();
-        let f = EmFile::from_slice(&ctx, &[10u64, 20, 30]).unwrap();
-        let mut r = f.reader().unwrap();
-        assert_eq!(r.peek().unwrap(), Some(10));
-        assert_eq!(r.peek().unwrap(), Some(10));
-        assert_eq!(r.next().unwrap(), Some(10));
-        assert_eq!(r.next().unwrap(), Some(20));
-        assert_eq!(r.next().unwrap(), Some(30));
-        assert_eq!(r.peek().unwrap(), None);
-        assert_eq!(r.next().unwrap(), None);
+    fn next_block_on_empty_file() {
+        for ctx in both_backends() {
+            let f = ctx.create_file::<u64>().unwrap();
+            for mut r in [f.reader().unwrap(), f.reader_at(0).unwrap()] {
+                assert_eq!(r.remaining(), 0);
+                assert_eq!(r.next_block().unwrap(), None);
+                assert_eq!(r.next_block_upto(1).unwrap(), None);
+            }
+            assert_eq!(ctx.stats().snapshot().reads, 0);
+        }
+    }
+
+    #[test]
+    fn next_block_yields_each_block_and_a_partial_tail() {
+        for ctx in both_backends() {
+            let f = EmFile::from_slice(&ctx, &(0..50u64).collect::<Vec<_>>()).unwrap();
+            let before = ctx.stats().snapshot();
+            let mut r = f.reader().unwrap();
+            assert_eq!(r.remaining(), 50);
+            let got = drain_blocks(&mut r);
+            let want: Vec<(Vec<u64>, u64)> = vec![
+                ((0..16).collect(), 34),
+                ((16..32).collect(), 18),
+                ((32..48).collect(), 2),
+                (vec![48, 49], 0),
+            ];
+            assert_eq!(got, want);
+            assert_eq!(r.next_block().unwrap(), None);
+            assert_eq!(ctx.stats().snapshot().since(&before).reads, 4);
+        }
+    }
+
+    #[test]
+    fn next_block_honours_a_skip_inside_a_block() {
+        for ctx in both_backends() {
+            let f = EmFile::from_slice(&ctx, &(0..50u64).collect::<Vec<_>>()).unwrap();
+            let before = ctx.stats().snapshot();
+            let mut r = f.reader_at(20).unwrap();
+            assert_eq!(r.remaining(), 30);
+            let got = drain_blocks(&mut r);
+            let want: Vec<(Vec<u64>, u64)> = vec![
+                ((20..32).collect(), 18),
+                ((32..48).collect(), 2),
+                (vec![48, 49], 0),
+            ];
+            assert_eq!(got, want);
+            // The positioning read is the block holding record 20.
+            assert_eq!(ctx.stats().snapshot().since(&before).reads, 3);
+        }
+    }
+
+    #[test]
+    fn next_block_skip_into_the_partial_last_block() {
+        for ctx in both_backends() {
+            let f = EmFile::from_slice(&ctx, &(0..50u64).collect::<Vec<_>>()).unwrap();
+            let before = ctx.stats().snapshot();
+            let mut r = f.reader_at(49).unwrap();
+            assert_eq!(r.remaining(), 1);
+            assert_eq!(drain_blocks(&mut r), vec![(vec![49], 0)]);
+            // A skip to (or past) the end of the partial last block leaves
+            // nothing to read and reads nothing.
+            for start in [50, 60] {
+                let mut r = f.reader_at(start).unwrap();
+                assert_eq!(r.remaining(), 0);
+                assert_eq!(r.next_block().unwrap(), None);
+                assert_eq!(r.remaining(), 0);
+            }
+            assert_eq!(ctx.stats().snapshot().since(&before).reads, 1);
+        }
+    }
+
+    #[test]
+    fn next_and_next_block_interleave() {
+        for ctx in both_backends() {
+            let f = EmFile::from_slice(&ctx, &(0..50u64).collect::<Vec<_>>()).unwrap();
+            let before = ctx.stats().snapshot();
+            let mut r = f.reader().unwrap();
+            let mut got = Vec::new();
+            got.push(r.next().unwrap().unwrap());
+            got.extend_from_slice(r.next_block().unwrap().unwrap()); // 1..16
+            assert_eq!(r.remaining(), 34);
+            got.push(r.next().unwrap().unwrap()); // 16
+            got.extend_from_slice(r.next_block_upto(3).unwrap().unwrap()); // 17..20
+            assert_eq!(r.remaining(), 30);
+            got.extend_from_slice(r.next_block().unwrap().unwrap()); // 20..32
+            while let Some(x) = r.next().unwrap() {
+                got.push(x);
+                if let Some(blk) = r.next_block_upto(7).unwrap() {
+                    got.extend_from_slice(blk);
+                }
+            }
+            assert_eq!(got, (0..50).collect::<Vec<u64>>());
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(ctx.stats().snapshot().since(&before).reads, 4);
+        }
+    }
+
+    #[test]
+    fn push_all_matches_per_record_push() {
+        for ctx in both_backends() {
+            let data: Vec<u64> = (0..61).map(|i| i * 7 + 3).collect();
+            let writes = || ctx.stats().snapshot().writes;
+            let w0 = writes();
+            let mut w = ctx.writer::<u64>().unwrap();
+            for &x in &data[..5] {
+                w.push(x).unwrap();
+            }
+            let mut flushed = Vec::new();
+            // From a partly filled buffer: across two block boundaries,
+            // an empty slice, then a slice ending exactly on a boundary.
+            for chunk in [&data[5..40], &data[40..40], &data[40..48], &data[48..]] {
+                w.push_all(chunk).unwrap();
+                flushed.push(writes() - w0);
+            }
+            let bulk = w.finish().unwrap();
+            let bulk_writes = writes() - w0;
+
+            let w1 = writes();
+            let mut w = ctx.writer::<u64>().unwrap();
+            let mut flushed_each = Vec::new();
+            for (i, &x) in data.iter().enumerate() {
+                w.push(x).unwrap();
+                if [40, 48, 61].contains(&(i + 1)) {
+                    flushed_each.push(writes() - w1);
+                }
+            }
+            let each = w.finish().unwrap();
+            assert_eq!(writes() - w1, bulk_writes);
+            assert_eq!(bulk_writes, 4);
+            flushed.remove(1); // the empty slice flushed nothing
+            assert_eq!(flushed, flushed_each);
+            assert_eq!(flushed, vec![2, 3, 3]);
+            assert_eq!(bulk.to_vec().unwrap(), data);
+            assert_eq!(each.to_vec().unwrap(), data);
+            if let (Some(a), Some(b)) = (ctx.file_path(bulk.id()), ctx.file_path(each.id())) {
+                assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -253,6 +253,30 @@ impl<T> TrackedVec<T> {
         Ok(())
     }
 
+    /// Fallible bulk append: growth doubles the capacity exactly as
+    /// [`TrackedVec::try_push`] does, until the items fit, and charges the
+    /// new capacity before the old charge is released. A strict budget
+    /// violation comes back as [`EmError::MemoryExceeded`] with the buffer
+    /// and its charge unchanged.
+    pub fn try_extend_from_slice(&mut self, items: &[T]) -> Result<()>
+    where
+        T: Clone,
+    {
+        let need = self.vec.len().saturating_add(items.len());
+        if need > self.vec.capacity() {
+            let mut new_cap = self.vec.capacity();
+            while new_cap < need {
+                new_cap = new_cap.saturating_mul(2).max(4);
+            }
+            let new_charge = self
+                .tracker
+                .try_charge(new_cap.saturating_mul(self.words_per_item), &self.context)?;
+            self.grow_to(new_cap, new_charge);
+        }
+        self.vec.extend_from_slice(items);
+        Ok(())
+    }
+
     fn grow_to(&mut self, new_cap: usize, new_charge: MemCharge) {
         if new_cap > self.vec.capacity() {
             self.vec.reserve_exact(new_cap - self.vec.len());
@@ -408,6 +432,54 @@ mod tests {
         assert!(matches!(e, crate::EmError::MemoryExceeded { .. }));
         assert_eq!(v.len(), 4, "failed push leaves the buffer unchanged");
         assert_eq!(t.current(), 4);
+    }
+
+    #[test]
+    fn try_extend_within_capacity_takes_no_new_charge() {
+        let t = MemoryTracker::new(16, true);
+        let mut v: TrackedVec<u64> = TrackedVec::try_with_capacity(&t, 8, 1, "buf").unwrap();
+        v.try_extend_from_slice(&[1, 2, 3]).unwrap();
+        v.try_extend_from_slice(&[4, 5, 6, 7, 8]).unwrap();
+        assert_eq!(v.as_slice(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(v.charged_words(), 8);
+        assert_eq!((t.current(), t.peak()), (8, 8));
+    }
+
+    #[test]
+    fn try_extend_past_capacity_charges_like_try_push() {
+        let t = MemoryTracker::new(1000, true);
+        let items: Vec<u64> = (0..11).collect();
+        let mut pushed: TrackedVec<u64> = TrackedVec::try_with_capacity(&t, 3, 2, "a").unwrap();
+        for &x in &items {
+            pushed.try_push(x).unwrap();
+        }
+        let mut extended: TrackedVec<u64> = TrackedVec::try_with_capacity(&t, 3, 2, "b").unwrap();
+        extended.try_extend_from_slice(&items[..2]).unwrap();
+        extended.try_extend_from_slice(&items[2..]).unwrap();
+        // 3 → 6 → 12 records, two words each, in both buffers.
+        assert_eq!(extended.as_slice(), pushed.as_slice());
+        assert_eq!(extended.charged_words(), 24);
+        assert_eq!(extended.charged_words(), pushed.charged_words());
+        assert_eq!(t.current(), 48);
+        drop(pushed);
+        drop(extended);
+        assert_eq!(t.current(), 0);
+    }
+
+    #[test]
+    fn try_extend_rejected_leaves_buffer_and_charge_unchanged() {
+        let t = MemoryTracker::new(10, true);
+        let mut v: TrackedVec<u64> = TrackedVec::try_with_capacity(&t, 4, 1, "buf").unwrap();
+        v.try_extend_from_slice(&[1, 2, 3]).unwrap();
+        // Growth to 8 would transiently hold 4 + 8 = 12 > 10 words.
+        let e = v.try_extend_from_slice(&[4, 5]).unwrap_err();
+        assert!(matches!(e, crate::EmError::MemoryExceeded { .. }));
+        assert_eq!(v.as_slice(), &[1, 2, 3]);
+        assert_eq!(v.charged_words(), 4);
+        assert_eq!((t.current(), t.peak()), (4, 4));
+        // The remaining headroom still takes an append within capacity.
+        v.try_extend_from_slice(&[4]).unwrap();
+        assert_eq!(v.len(), 4);
     }
 
     #[test]

@@ -69,9 +69,10 @@ pub fn distribute_segs<T: Record>(
         .try_charge(splitters.len() * T::WORDS, "distribution splitters")?;
     let mut writers: Vec<Writer<T>> = (0..f).map(|_| ctx.writer::<T>()).collect::<Result<_>>()?;
     let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        let j = bucket_of(splitters, &x.key());
-        writers[j].push(x)?;
+    while let Some(blk) = r.next_block()? {
+        for &x in blk {
+            writers[bucket_of(splitters, &x.key())].push(x)?;
+        }
     }
     drop(r);
     let mut out = Vec::with_capacity(f);
@@ -101,28 +102,17 @@ pub fn three_way_split_segs<T: Record>(
     let mut equal = ctx.writer::<T>()?;
     let mut greater = ctx.writer::<T>()?;
     let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        match x.key().cmp(&pivot) {
-            std::cmp::Ordering::Less => less.push(x)?,
-            std::cmp::Ordering::Equal => equal.push(x)?,
-            std::cmp::Ordering::Greater => greater.push(x)?,
+    while let Some(blk) = r.next_block()? {
+        for &x in blk {
+            match x.key().cmp(&pivot) {
+                std::cmp::Ordering::Less => less.push(x)?,
+                std::cmp::Ordering::Equal => equal.push(x)?,
+                std::cmp::Ordering::Greater => greater.push(x)?,
+            }
         }
     }
     drop(r);
     Ok((less.finish()?, equal.finish()?, greater.finish()?))
-}
-
-/// Stream-copy a file into a writer-like sink function (`ceil(n/B)` reads
-/// plus the sink's writes).
-pub fn stream_into<T: Record>(
-    input: &EmFile<T>,
-    mut push: impl FnMut(T) -> Result<()>,
-) -> Result<()> {
-    let mut r = input.reader()?;
-    while let Some(x) = r.next()? {
-        push(x)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 use emcore::{EmConfig, EmContext, EmError, EmFile, Record, Result, SpillVec, Tagged};
 
 use crate::internal::median_of_five;
+use crate::partition_out::load_segs;
 
 /// Maximum number of groups `L` an intermixed-selection instance may have
 /// under memory capacity `M`: the per-group in-memory state (5-slot
@@ -283,13 +284,7 @@ fn base_case<R: Record>(
     ts: &mut SpillVec<u64>,
     resolved: &mut SpillVec<Tagged<R>>,
 ) -> Result<()> {
-    let n = d.len() as usize;
-    let mut buf = ctx.try_tracked_vec::<Tagged<R>>(n, "intermixed base case")?;
-    let mut r = d.reader()?;
-    while let Some(e) = r.next()? {
-        buf.push(e);
-    }
-    drop(r);
+    let mut buf = load_segs(ctx, std::slice::from_ref(d), "intermixed base case")?;
     buf.sort_unstable_by_key(|a| (a.group, a.key()));
     let ts_s = ts.as_mut_slice();
     let mut i = 0usize;

@@ -40,7 +40,7 @@ mod sample_splitters;
 mod split;
 
 pub use distribute::{
-    distribute, distribute_segs, max_distribution_fanout, max_distribution_fanout_now, stream_into,
+    distribute, distribute_segs, max_distribution_fanout, max_distribution_fanout_now,
     three_way_split, three_way_split_segs,
 };
 pub use intermixed::{intermixed_select, max_groups};
@@ -54,7 +54,7 @@ pub use multi_select::{
     base_case_capacity, base_case_capacity_n, multi_select, multi_select_segs, multi_select_window,
     multi_select_with, quantiles, select_rank, MsBaseCase, MsOptions,
 };
-pub use partition_out::{segs_len, ChainReader, Partition};
+pub use partition_out::{copy_segs, segs_len, ChainReader, Partition};
 pub use recover::{multi_select_recoverable, MultiSelectManifest, MULTI_SELECT_JOURNAL};
 pub use sample_splitters::{
     bucket_of, count_buckets, count_buckets_segs, max_deterministic_fanout,

@@ -25,7 +25,7 @@
 use emcore::{EmContext, EmError, EmFile, Record, Result, Writer};
 
 use crate::distribute::{distribute_segs, max_distribution_fanout_now, three_way_split};
-use crate::partition_out::{segs_len, ChainReader, Partition};
+use crate::partition_out::{load_segs, segs_len, Partition};
 use crate::sample_splitters::{
     max_deterministic_fanout_n, sample_splitters_segs, SplitterStrategy,
 };
@@ -165,17 +165,9 @@ fn mp_rec<T: Record>(
     }
     let base_cap = (ctx.mem_records::<T>() / 2).max(ctx.config().block_size());
     if n as usize <= base_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "multi-partition base case")?;
-        let mut r = ChainReader::new(d.segs());
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
+        let mut buf = load_segs(ctx, d.segs(), "multi-partition base case")?;
         buf.sort_unstable_by_key(|a| a.key());
-        for &x in buf.iter() {
-            sink.push(x)?;
-        }
-        return Ok(());
+        return sink.push_slice(&buf);
     }
 
     let fmax = max_distribution_fanout_now::<T>(ctx)
@@ -303,16 +295,26 @@ impl<T: Record> PartitionSink<T> {
         Ok(s)
     }
 
-    /// Append one record to the current partition.
-    fn push(&mut self, rec: T) -> Result<()> {
-        debug_assert!(self.cur < self.bounds.len(), "pushed past final boundary");
-        let buf = match self.buf.as_mut() {
-            Some(w) => w,
-            None => self.buf.insert(self.ctx.writer::<T>()?),
-        };
-        buf.push(rec)?;
-        self.written += 1;
-        self.advance()
+    /// Append records to the current partition in order, copying up to
+    /// each partition boundary at a time.
+    fn push_slice(&mut self, mut recs: &[T]) -> Result<()> {
+        while !recs.is_empty() {
+            debug_assert!(self.cur < self.bounds.len(), "pushed past final boundary");
+            let room = self
+                .bounds
+                .get(self.cur)
+                .map_or(u64::MAX, |&b| b - self.written);
+            let (head, rest) = recs.split_at(room.min(recs.len() as u64) as usize);
+            let buf = match self.buf.as_mut() {
+                Some(w) => w,
+                None => self.buf.insert(self.ctx.writer::<T>()?),
+            };
+            buf.push_all(head)?;
+            self.written += head.len() as u64;
+            recs = rest;
+            self.advance()?;
+        }
+        Ok(())
     }
 
     /// Adopt a whole file as a segment of the current partition — `O(1)`,
@@ -333,12 +335,12 @@ impl<T: Record> PartitionSink<T> {
         self.advance()
     }
 
-    /// Stream a file record by record through the boundary cuts (used for
-    /// the interchangeable equal-slab fallback).
+    /// Stream a file a block at a time through the boundary cuts (used
+    /// for the interchangeable equal-slab fallback).
     fn stream_file(&mut self, file: &EmFile<T>) -> Result<()> {
         let mut r = file.reader()?;
-        while let Some(x) = r.next()? {
-            self.push(x)?;
+        while let Some(blk) = r.next_block()? {
+            self.push_slice(blk)?;
         }
         Ok(())
     }

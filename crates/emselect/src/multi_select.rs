@@ -25,7 +25,7 @@ use emcore::{EmContext, EmError, EmFile, Record, Result, Tagged};
 
 use crate::intermixed::{intermixed_select, max_groups};
 use crate::multi_partition::multi_partition_at_ranks;
-use crate::partition_out::{segs_len, ChainReader};
+use crate::partition_out::{copy_segs, load_segs, segs_len, ChainReader};
 use crate::sample_splitters::{
     bucket_of, count_buckets_segs, max_deterministic_fanout_n, refined_splitters,
     sample_splitters_segs, SplitterStrategy,
@@ -71,11 +71,10 @@ pub fn base_case_capacity<T: Record>(input: &EmFile<T>, opts: &MsOptions) -> usi
     base_case_capacity_n::<T>(input.ctx(), input.len(), opts)
 }
 
-/// [`base_case_capacity`] from an explicit input size.
-pub fn base_case_capacity_n<T: Record>(ctx: &EmContext, n: u64, opts: &MsOptions) -> usize {
+/// [`base_case_capacity`] from an explicit input size. (Neither engine's
+/// capacity depends on the size today.)
+pub fn base_case_capacity_n<T: Record>(ctx: &EmContext, _n: u64, opts: &MsOptions) -> usize {
     let groups_cap = max_groups::<T>(ctx.config());
-    let f = max_deterministic_fanout_n::<T>(ctx, n);
-    let _ = f;
     let m = match opts.base_case {
         // Pruned bookkeeping is ~3 words per rank; cap well inside the
         // *live* budget, so a governor squeeze narrows the base case.
@@ -201,9 +200,7 @@ fn multi_select_sorted<T: Record>(
         // (rank ranges split contiguously across buckets), so no boundary
         // multi-partition prepass is needed.
         let mut w = ctx.writer::<u64>()?;
-        for &r in sorted {
-            w.push(r)?;
-        }
+        w.push_all(sorted)?;
         let rank_file = w.finish()?;
         let mut out = Vec::with_capacity(k);
         pruned_select_external(ctx, segs, &rank_file, 0, k as u64, 0, opts, &mut out)?;
@@ -216,12 +213,7 @@ fn multi_select_sorted<T: Record>(
     let input = if segs.len() == 1 {
         &segs[0]
     } else {
-        let mut w = ctx.writer::<T>()?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            w.push(x)?;
-        }
-        flattened = w.finish()?;
+        flattened = copy_segs(ctx, segs)?;
         &flattened
     };
     let g = k.div_ceil(m);
@@ -262,12 +254,7 @@ fn base_case<T: Record>(
     // array and block buffers; matches multi-partition's base threshold.)
     let mem_cap = (ctx.mem_records::<T>() / 2).max(block);
     if n as usize <= mem_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "multi-select base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
+        let mut buf = load_segs(ctx, segs, "multi-select base buffer")?;
         return Ok(crate::internal::multi_select_in_mem(&mut buf, ranks));
     }
 
@@ -325,12 +312,14 @@ fn intermixed_base_case<T: Record>(
     let mut w = ctx.writer::<Tagged<T>>()?;
     {
         let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            let j = bucket_of(&splitters, &x.key());
-            let lo = bucket_of_rank.partition_point(|&b| b < j);
-            let hi = bucket_of_rank.partition_point(|&b| b <= j);
-            for i in lo..hi {
-                w.push(Tagged::new(x, i as u32))?;
+        while let Some(blk) = r.next_block()? {
+            for &x in blk {
+                let j = bucket_of(&splitters, &x.key());
+                let lo = bucket_of_rank.partition_point(|&b| b < j);
+                let hi = bucket_of_rank.partition_point(|&b| b <= j);
+                for i in lo..hi {
+                    w.push(Tagged::new(x, i as u32))?;
+                }
             }
         }
     }
@@ -340,11 +329,12 @@ fn intermixed_base_case<T: Record>(
     intermixed_select(d, &targets)
 }
 
-/// Pruned-distribution selection for `K ≪ f` ranks: per level, find the
-/// bucket of every rank, write out *only* those buckets (rank-free buckets
-/// are dropped from the scan at zero write cost), and recurse into each.
-/// The active volume shrinks to `≤ K · max_bucket ≤ 2Kn/f` per level, a
-/// geometric series, so the total is `O(n/B)`.
+/// Pruned-distribution selection for `K ≪ f` ranks: per level, distribute
+/// the input into all `f` buckets (one read and one write scan), find the
+/// bucket of every rank, free the rank-free buckets unread, and recurse
+/// only into the rank-carrying ones. The recursed volume shrinks to
+/// `≤ K · max_bucket ≤ 2Kn/f` per level, a geometric series, so the total
+/// is `O(n/B)`.
 fn pruned_select<T: Record>(
     ctx: &EmContext,
     segs: &[EmFile<T>],
@@ -360,12 +350,7 @@ fn pruned_select<T: Record>(
     let block = ctx.config().block_size();
     let mem_cap = (ctx.mem_records::<T>() / 2).max(block);
     if n as usize <= mem_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "pruned-select base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
+        let mut buf = load_segs(ctx, segs, "pruned-select base buffer")?;
         return Ok(crate::internal::multi_select_in_mem(&mut buf, ranks));
     }
     let phase = ctx.stats().phase_guard("multi-select/pruned");
@@ -374,8 +359,9 @@ fn pruned_select<T: Record>(
         .max(2);
     let splitters = sample_splitters_segs(ctx, segs, f, opts.strategy)?;
     // Distribute into f buckets; exact sizes come from the bucket files.
-    // Rank-free buckets are simply dropped (freeing storage costs no I/O),
-    // which prunes the recursion tree to the rank-carrying volume.
+    // Every bucket is written; the rank-free ones are dropped below, unread
+    // (freeing storage costs no I/O), which prunes the recursion tree to
+    // the rank-carrying volume.
     let buckets = crate::distribute::distribute_segs(ctx, segs, &splitters)?;
     drop(splitters);
     let mut cum = Vec::with_capacity(buckets.len() + 1);
@@ -608,22 +594,28 @@ fn pruned_select_external<T: Record>(
     let mut ranges: Vec<(u64, u64, usize)> = Vec::new();
     {
         let mut r = rank_file.reader_at(lo)?;
-        let mut cursor = lo;
-        for j in 0..buckets.len() {
-            let upper = offset + cum[j + 1]; // global ranks ≤ upper fall in bucket j
-            let start = cursor;
-            while cursor < hi {
-                match r.peek()? {
-                    Some(v) if v <= upper => {
-                        r.next()?;
-                        cursor += 1;
+        let (mut cursor, mut start, mut j) = (lo, lo, 0usize);
+        while cursor < hi {
+            let Some(blk) =
+                r.next_block_upto(usize::try_from(hi - cursor).unwrap_or(usize::MAX))?
+            else {
+                break;
+            };
+            for &v in blk {
+                // Global ranks ≤ offset + cum[j + 1] fall in bucket j.
+                while j + 1 < buckets.len() && v > offset + cum[j + 1] {
+                    if cursor > start {
+                        ranges.push((start, cursor, j));
                     }
-                    _ => break,
+                    start = cursor;
+                    j += 1;
                 }
+                debug_assert!(v <= offset + cum[j + 1], "rank beyond the last bucket");
+                cursor += 1;
             }
-            if cursor > start {
-                ranges.push((start, cursor, j));
-            }
+        }
+        if cursor > start {
+            ranges.push((start, cursor, j));
         }
         debug_assert_eq!(cursor, hi, "every rank routed to a bucket");
     }

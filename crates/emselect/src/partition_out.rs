@@ -8,7 +8,7 @@
 //! read + one write pass each, matching the
 //! `O((N/B)·lg_{M/B} K)` bound with a small constant.
 
-use emcore::{EmContext, EmFile, Record, Result};
+use emcore::{EmContext, EmFile, Record, Result, TrackedVec};
 
 /// One ordered partition: the concatenation of its file segments.
 /// The relative order of records *within* a partition is unspecified
@@ -73,9 +73,9 @@ impl<T: Record> Partition<T> {
 
     /// Visit every record (one block-buffered scan; charges the reads).
     pub fn for_each(&self, mut f: impl FnMut(T) -> Result<()>) -> Result<()> {
-        for s in &self.segments {
-            let mut r = s.reader()?;
-            while let Some(x) = r.next()? {
+        let mut r = ChainReader::new(&self.segments);
+        while let Some(blk) = r.next_block()? {
+            for &x in blk {
                 f(x)?;
             }
         }
@@ -85,10 +85,10 @@ impl<T: Record> Partition<T> {
     /// Materialise into a host `Vec` (charges the read scan).
     pub fn to_vec(&self) -> Result<Vec<T>> {
         let mut out = Vec::with_capacity(self.len as usize);
-        self.for_each(|x| {
-            out.push(x);
-            Ok(())
-        })?;
+        let mut r = ChainReader::new(&self.segments);
+        while let Some(blk) = r.next_block()? {
+            out.extend_from_slice(blk);
+        }
         Ok(out)
     }
 
@@ -101,20 +101,39 @@ impl<T: Record> Partition<T> {
                 return Ok(seg);
             }
         }
-        let mut w = ctx.writer::<T>()?;
-        for s in &segments {
-            let mut r = s.reader()?;
-            while let Some(x) = r.next()? {
-                w.push(x)?;
-            }
-        }
-        w.finish()
+        copy_segs(ctx, &segments)
     }
 }
 
 /// Total record count of a segment list.
 pub fn segs_len<T: Record>(segs: &[EmFile<T>]) -> u64 {
     segs.iter().map(|s| s.len()).sum()
+}
+
+/// Copy a segment list into one fresh file, a block at a time (one read
+/// and one write scan).
+pub fn copy_segs<T: Record>(ctx: &EmContext, segs: &[EmFile<T>]) -> Result<EmFile<T>> {
+    let mut w = ctx.writer::<T>()?;
+    let mut r = ChainReader::new(segs);
+    while let Some(blk) = r.next_block()? {
+        w.push_all(blk)?;
+    }
+    w.finish()
+}
+
+/// Load a whole segment list into a tracked buffer of exactly its length
+/// (one read scan). The reader's block buffer is released on return.
+pub(crate) fn load_segs<T: Record>(
+    ctx: &EmContext,
+    segs: &[EmFile<T>],
+    context: &str,
+) -> Result<TrackedVec<T>> {
+    let mut buf = ctx.try_tracked_vec::<T>(segs_len(segs) as usize, context)?;
+    let mut r = ChainReader::new(segs);
+    while let Some(blk) = r.next_block()? {
+        buf.try_extend_from_slice(blk)?;
+    }
+    Ok(buf)
 }
 
 /// A sequential reader over a list of file segments, holding one block
@@ -136,23 +155,28 @@ impl<'a, T: Record> ChainReader<'a, T> {
         }
     }
 
-    /// Next record, or `None` at the end of the last segment.
-    // Fallible streaming, deliberately not Iterator (whose `next` cannot
-    // surface `EmError`).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<T>> {
-        loop {
-            if let Some(r) = self.cur.as_mut() {
-                if let Some(x) = r.next()? {
-                    return Ok(Some(x));
-                }
-                self.cur = None; // segment exhausted; free its buffer
-            }
-            if self.idx >= self.segs.len() {
+    /// The unconsumed rest of the current block, moving on to the next
+    /// block or segment when it is used up; `None` after the last
+    /// segment. Empty segments are skipped; the slice is never empty.
+    /// See [`emcore::Reader::next_block`].
+    pub fn next_block(&mut self) -> Result<Option<&[T]>> {
+        self.next_block_upto(usize::MAX)
+    }
+
+    /// Like [`ChainReader::next_block`], but consumes at most `max` (≥ 1)
+    /// records. See [`emcore::Reader::next_block_upto`].
+    pub fn next_block_upto(&mut self, max: usize) -> Result<Option<&[T]>> {
+        while self.cur.as_ref().is_none_or(|r| r.remaining() == 0) {
+            self.cur = None; // segment exhausted; free its buffer
+            let Some(seg) = self.segs.get(self.idx) else {
                 return Ok(None);
-            }
-            self.cur = Some(self.segs[self.idx].reader()?);
+            };
+            self.cur = Some(seg.reader()?);
             self.idx += 1;
+        }
+        match self.cur.as_mut() {
+            Some(r) => r.next_block_upto(max),
+            None => Ok(None),
         }
     }
 }
@@ -166,26 +190,78 @@ mod tests {
         EmContext::new_in_memory(EmConfig::tiny())
     }
 
+    /// Segments of 20 (a full block and a partial one), 0, 16 and 3
+    /// records on the given backend, holding `0..39` in order.
+    fn chain_segs(c: &EmContext) -> Vec<EmFile<u64>> {
+        let mut at = 0u64;
+        [20u64, 0, 16, 3]
+            .iter()
+            .map(|&len| {
+                at += len;
+                EmFile::from_slice(c, &(at - len..at).collect::<Vec<_>>()).unwrap()
+            })
+            .collect()
+    }
+
+    fn both_backends() -> [EmContext; 2] {
+        [
+            ctx(),
+            EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap(),
+        ]
+    }
+
     #[test]
     fn chain_reader_spans_segments() {
-        let c = ctx();
-        let a = EmFile::from_slice(&c, &[1u64, 2]).unwrap();
-        let b = c.create_file::<u64>().unwrap(); // empty middle segment
-        let d = EmFile::from_slice(&c, &[3u64, 4, 5]).unwrap();
-        let segs = vec![a, b, d];
-        assert_eq!(segs_len(&segs), 5);
-        let mut r = ChainReader::new(&segs);
-        let mut got = Vec::new();
-        while let Some(x) = r.next().unwrap() {
-            got.push(x);
+        for c in both_backends() {
+            let segs = chain_segs(&c);
+            assert_eq!(segs_len(&segs), 39);
+            let before = c.stats().snapshot();
+            let mut r = ChainReader::new(&segs);
+            let mut got = Vec::new();
+            let mut lens = Vec::new();
+            while let Some(blk) = r.next_block().unwrap() {
+                lens.push(blk.len());
+                got.extend_from_slice(blk);
+            }
+            // One slice per block; the empty segment yields none.
+            assert_eq!(lens, vec![16, 4, 16, 3]);
+            assert_eq!(got, (0..39).collect::<Vec<u64>>());
+            assert_eq!(r.next_block().unwrap(), None);
+            assert_eq!(c.stats().snapshot().since(&before).reads, 4);
         }
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn chain_reader_bounded_slices_stop_mid_block() {
+        for c in both_backends() {
+            let segs = chain_segs(&c);
+            let before = c.stats().snapshot();
+            let mut r = ChainReader::new(&segs);
+            let mut got = Vec::new();
+            let mut lens = Vec::new();
+            for max in [5usize, 100, 3].iter().cycle() {
+                let Some(blk) = r.next_block_upto(*max).unwrap() else {
+                    break;
+                };
+                lens.push(blk.len());
+                got.extend_from_slice(blk);
+            }
+            assert_eq!(lens, vec![5, 11, 3, 1, 16, 3]);
+            assert_eq!(got, (0..39).collect::<Vec<u64>>());
+            assert_eq!(c.stats().snapshot().since(&before).reads, 4);
+        }
     }
 
     #[test]
     fn chain_reader_empty_list() {
         let mut r = ChainReader::<u64>::new(&[]);
-        assert_eq!(r.next().unwrap(), None);
+        assert_eq!(r.next_block().unwrap(), None);
+        for c in both_backends() {
+            let segs = vec![c.create_file::<u64>().unwrap(), c.create_file().unwrap()];
+            let mut r = ChainReader::new(&segs);
+            assert_eq!(r.next_block().unwrap(), None);
+            assert_eq!(c.stats().snapshot().reads, 0);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use emcore::SplitMix64;
 use emcore::{EmContext, EmError, EmFile, Record, Result};
 
-use crate::partition_out::{segs_len, ChainReader};
+use crate::partition_out::{load_segs, segs_len, ChainReader};
 
 /// The per-level thinning factor of the deterministic strategy.
 pub const SAMPLE_RHO: usize = 4;
@@ -139,69 +139,39 @@ fn deterministic<T: Record>(ctx: &EmContext, segs: &[EmFile<T>], f: usize) -> Re
     // sample files.
     let mut current: Option<EmFile<T>> = None;
     loop {
-        let len = match &current {
-            None => segs_len(segs),
-            Some(fl) => fl.len(),
-        };
-        if len <= cap as u64 {
+        let src = current.as_ref().map_or(segs, std::slice::from_ref);
+        if segs_len(src) <= cap as u64 {
             // Load, sort, pick evenly.
-            let mut buf = ctx.try_tracked_vec::<T>(len as usize, "splitter final sample")?;
-            match &current {
-                None => {
-                    let mut r = ChainReader::new(segs);
-                    while let Some(x) = r.next()? {
-                        buf.push(x);
-                    }
-                }
-                Some(fl) => {
-                    let mut r = fl.reader()?;
-                    while let Some(x) = r.next()? {
-                        buf.push(x);
-                    }
-                }
-            }
+            let mut buf = load_segs(ctx, src, "splitter final sample")?;
             buf.sort_unstable_by_key(|a| a.key());
             let f_eff = f.min(buf.len().max(2));
             return Ok(pick_even(&buf, f_eff));
         }
-        // One reduction level: sort chunks of `cap`, keep every ρ-th.
+        // One reduction level: sort loads of exactly `cap` records, in
+        // stream order (the last one partial), and keep every ρ-th.
         let mut load = ctx.try_tracked_vec::<T>(cap, "splitter sample chunk")?;
         let mut w = ctx.writer::<T>()?;
-        {
-            let mut reduce = |next: &mut dyn FnMut() -> Result<Option<T>>| -> Result<()> {
-                loop {
-                    load.clear();
-                    while load.len() < cap {
-                        match next()? {
-                            Some(x) => load.push(x),
-                            None => break,
-                        }
-                    }
-                    if load.is_empty() {
-                        return Ok(());
-                    }
-                    load.sort_unstable_by_key(|a| a.key());
-                    let mut i = SAMPLE_RHO - 1;
-                    while i < load.len() {
-                        w.push(load[i])?;
-                        i += SAMPLE_RHO;
-                    }
-                    if load.len() < cap {
-                        return Ok(());
-                    }
-                }
-            };
-            match &current {
-                None => {
-                    let mut r = ChainReader::new(segs);
-                    reduce(&mut || r.next())?;
-                }
-                Some(fl) => {
-                    let mut r = fl.reader()?;
-                    reduce(&mut || r.next())?;
+        let mut r = ChainReader::new(src);
+        loop {
+            load.clear();
+            while load.len() < cap {
+                match r.next_block_upto(cap - load.len())? {
+                    Some(blk) => load.try_extend_from_slice(blk)?,
+                    None => break,
                 }
             }
+            if load.is_empty() {
+                break;
+            }
+            load.sort_unstable_by_key(|a| a.key());
+            for &x in load.iter().skip(SAMPLE_RHO - 1).step_by(SAMPLE_RHO) {
+                w.push(x)?;
+            }
+            if load.len() < cap {
+                break;
+            }
         }
+        drop(r);
         drop(load);
         current = Some(w.finish()?);
     }
@@ -222,11 +192,16 @@ fn randomized<T: Record>(
     let mut reservoir = ctx.try_tracked_vec::<T>(target, "splitter reservoir")?;
     let mut r = ChainReader::new(segs);
     let mut seen = 0u64;
-    while let Some(x) = r.next()? {
-        seen += 1;
+    while let Some(mut blk) = r.next_block()? {
         if reservoir.len() < target {
-            reservoir.push(x);
-        } else {
+            // Fill phase: no RNG calls until the reservoir is full.
+            let (head, rest) = blk.split_at((target - reservoir.len()).min(blk.len()));
+            reservoir.try_extend_from_slice(head)?;
+            seen += head.len() as u64;
+            blk = rest;
+        }
+        for &x in blk {
+            seen += 1;
             let j = rng.below(seen) as usize;
             if j < target {
                 reservoir[j] = x;
@@ -315,8 +290,10 @@ pub fn count_buckets_segs<T: Record>(
         .try_charge(splitters.len() * T::WORDS, "bucket-count splitters")?;
     let mut counts = vec![0u64; splitters.len() + 1];
     let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        counts[bucket_of(splitters, &x.key())] += 1;
+    while let Some(blk) = r.next_block()? {
+        for x in blk {
+            counts[bucket_of(splitters, &x.key())] += 1;
+        }
     }
     Ok(counts)
 }
@@ -581,6 +558,106 @@ mod tests {
         assert!(refined_splitters(&c, std::slice::from_ref(&file), 64)
             .unwrap()
             .is_empty());
+    }
+
+    /// The deterministic strategy in RAM: sort each `cap` chunk, keep every
+    /// ρ-th, recurse until the sample fits one load, then pick evenly.
+    fn reference_deterministic(data: &[u64], cap: usize, f: usize) -> Vec<u64> {
+        let mut cur = data.to_vec();
+        while cur.len() > cap {
+            let mut next = Vec::new();
+            for chunk in cur.chunks(cap) {
+                let mut c = chunk.to_vec();
+                c.sort_unstable();
+                next.extend(c.into_iter().skip(SAMPLE_RHO - 1).step_by(SAMPLE_RHO));
+            }
+            cur = next;
+        }
+        cur.sort_unstable();
+        reference_pick(&cur, f)
+    }
+
+    /// The randomized strategy in RAM: the same reservoir, fed by the same
+    /// RNG call sequence.
+    fn reference_randomized(data: &[u64], cap: usize, f: usize, seed: u64) -> Vec<u64> {
+        let n = data.len() as u64;
+        let target = ((16.0 * f as f64 * (n.max(2) as f64).ln()) as usize)
+            .clamp(f, cap / 2)
+            .max(2);
+        let mut rng = SplitMix64::new(seed);
+        let mut res: Vec<u64> = Vec::new();
+        for (i, &x) in data.iter().enumerate() {
+            if res.len() < target {
+                res.push(x);
+            } else {
+                let j = rng.below(i as u64 + 1) as usize;
+                if j < target {
+                    res[j] = x;
+                }
+            }
+        }
+        res.sort_unstable();
+        reference_pick(&res, f)
+    }
+
+    fn reference_pick(sorted: &[u64], f: usize) -> Vec<u64> {
+        let n = sorted.len() as u64;
+        let f = f.min(sorted.len().max(2)) as u64;
+        (1..f)
+            .map(|i| sorted[((i * n / f).max(1) - 1) as usize])
+            .collect()
+    }
+
+    #[test]
+    fn sampling_matches_in_ram_reference_on_unaligned_segments() {
+        let c = ctx();
+        let cap = load_capacity::<u64>(&c);
+        let zipf = workloads::generate(
+            workloads::Workload::ZipfLike {
+                values: 300,
+                s: 1.0,
+            },
+            4290,
+            3,
+        );
+        for data in [shuffled(4290), zipf] {
+            // Segment ends land inside blocks and inside sampler loads, and
+            // the first load spans four segments, one of them empty. The
+            // second list fits one load: only the final-load path runs.
+            for lens in [vec![100, 0, 77, 1500, 2613], vec![9, 130, 0, 4]] {
+                let n: usize = lens.iter().sum();
+                assert!(lens.iter().all(|&l| l % cap != 0 && l % 16 != 0 || l == 0));
+                let mut at = 0;
+                let segs: Vec<EmFile<u64>> = lens
+                    .iter()
+                    .map(|&l| {
+                        at += l;
+                        c.oracle(|| EmFile::from_slice(&c, &data[at - l..at]))
+                            .unwrap()
+                    })
+                    .collect();
+                let data = &data[..n];
+                for f in [2, 5, max_deterministic_fanout_n::<u64>(&c, n as u64)] {
+                    let det = sample_splitters_segs(&c, &segs, f, SplitterStrategy::Deterministic)
+                        .unwrap();
+                    assert_eq!(det, reference_deterministic(data, cap, f), "n={n} f={f}");
+                    // The reservoir holds at most cap/2 records.
+                    if f > cap / 2 {
+                        continue;
+                    }
+                    for seed in [1, 9] {
+                        let rnd = sample_splitters_segs(
+                            &c,
+                            &segs,
+                            f,
+                            SplitterStrategy::Randomized { seed },
+                        )
+                        .unwrap();
+                        assert_eq!(rnd, reference_randomized(data, cap, f, seed), "n={n} f={f}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

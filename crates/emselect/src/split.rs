@@ -12,7 +12,7 @@
 use emcore::{EmContext, EmError, EmFile, Record, Result};
 
 use crate::distribute::{distribute_segs, max_distribution_fanout_now, three_way_split};
-use crate::partition_out::{segs_len, ChainReader, Partition};
+use crate::partition_out::{load_segs, segs_len, Partition};
 use crate::sample_splitters::{
     max_deterministic_fanout_n, sample_splitters_segs, SplitterStrategy,
 };
@@ -66,11 +66,7 @@ fn split_rec<T: Record>(
 
     if n as usize <= mem_cap {
         // In-memory: select, then write the two sides exactly.
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "rank-split base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
+        let mut buf = load_segs(ctx, segs, "rank-split base buffer")?;
         let idx = (count - 1) as usize;
         buf.sort_unstable_by_key(|a| a.key());
         let boundary = buf[idx];

@@ -336,8 +336,8 @@ fn form_remaining_runs<T: Record>(
         // leave reader state behind, and positioning costs ≤ 1 extra I/O.
         let mut reader = input.reader_at(manifest.consumed)?;
         while load.len() < cap {
-            match reader.next()? {
-                Some(x) => load.push(x),
+            match reader.next_block_upto(cap - load.len())? {
+                Some(blk) => load.try_extend_from_slice(blk)?,
                 None => break,
             }
         }

@@ -75,8 +75,8 @@ pub fn form_runs_load_sort<T: Record>(input: &EmFile<T>) -> Result<Vec<EmFile<T>
         let want = working_capacity::<T>(&ctx);
         let (mut load, cap) = adaptive_load_buffer::<T>(&ctx, want, "run formation load buffer")?;
         while load.len() < cap {
-            match reader.next()? {
-                Some(x) => load.push(x),
+            match reader.next_block_upto(cap - load.len())? {
+                Some(blk) => load.try_extend_from_slice(blk)?,
                 None => break,
             }
         }
