@@ -186,7 +186,8 @@ fn randomized<T: Record>(
     let n = segs_len(segs);
     let cap = load_capacity::<T>(ctx);
     let target = ((16.0 * f as f64 * (n.max(2) as f64).ln()) as usize)
-        .clamp(f, cap / 2)
+        .min(cap / 2)
+        .max(f)
         .max(2);
     let mut rng = SplitMix64::new(seed);
     let mut reservoir = ctx.try_tracked_vec::<T>(target, "splitter reservoir")?;
@@ -429,6 +430,24 @@ mod tests {
     }
 
     #[test]
+    fn randomized_fanout_above_half_load_does_not_panic() {
+        // f = max_deterministic_fanout_n on an input that fits one load is
+        // the whole load capacity, more than half of it: the reservoir
+        // target must not come from a `clamp` whose min exceeds its max.
+        let c = ctx();
+        let data = shuffled(100);
+        let file = c.stats().paused(|| EmFile::from_slice(&c, &data)).unwrap();
+        let f = max_deterministic_fanout_n::<u64>(&c, file.len());
+        assert!(f > load_capacity::<u64>(&c) / 2);
+        match sample_splitters(&file, f, SplitterStrategy::Randomized { seed: 5 }) {
+            Ok(sp) => assert!(sp.windows(2).all(|w| w[0] <= w[1])),
+            Err(e) => assert!(matches!(e, EmError::MemoryExceeded { .. }), "{e}"),
+        }
+        let reference = reference_randomized(&data, load_capacity::<u64>(&c), f, 5);
+        assert!(reference.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
     fn sorted_input_splitters() {
         let c = ctx();
         let data: Vec<u64> = (0..5000).collect();
@@ -582,7 +601,8 @@ mod tests {
     fn reference_randomized(data: &[u64], cap: usize, f: usize, seed: u64) -> Vec<u64> {
         let n = data.len() as u64;
         let target = ((16.0 * f as f64 * (n.max(2) as f64).ln()) as usize)
-            .clamp(f, cap / 2)
+            .min(cap / 2)
+            .max(f)
             .max(2);
         let mut rng = SplitMix64::new(seed);
         let mut res: Vec<u64> = Vec::new();

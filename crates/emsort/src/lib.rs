@@ -34,7 +34,7 @@ mod parallel;
 mod runs;
 mod sort;
 
-pub use loser_tree::{LoserTree, SliceSource, Source};
+pub use loser_tree::{LoserTree, RunSource, Source};
 pub use manifest::{external_sort_recoverable, SortManifest, SORT_JOURNAL};
 pub use merge::{
     max_merge_fan_in, max_merge_fan_in_now, merge_once, merge_runs, merge_runs_with_fan_in,

@@ -451,39 +451,33 @@ fn merge_groups_parallel<T: Record>(
 struct ChannelSource<T: Record> {
     rx: Receiver<Result<(Vec<T>, MemCharge)>>,
     batch: Vec<T>,
-    pos: usize,
     /// Keeps the current batch's words charged while records drain from it.
     _charge: Option<MemCharge>,
-    failed: bool,
 }
 
 impl<T: Record> Source<T> for ChannelSource<T> {
-    fn pull(&mut self) -> Result<Option<T>> {
+    fn advance(&mut self) -> Result<bool> {
         loop {
-            if self.pos < self.batch.len() {
-                self.pos += 1;
-                return Ok(Some(self.batch[self.pos - 1]));
-            }
-            if self.failed {
-                return Ok(None);
-            }
             match self.rx.recv() {
                 Ok(Ok((batch, charge))) => {
                     self.batch = batch;
-                    self.pos = 0;
                     self._charge = Some(charge);
+                    if !self.batch.is_empty() {
+                        return Ok(true);
+                    }
                 }
-                Ok(Err(e)) => {
-                    self.failed = true;
-                    return Err(e);
-                }
+                Ok(Err(e)) => return Err(e),
                 Err(_) => {
                     // Prefetcher finished and hung up: source exhausted.
                     self._charge = None;
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
         }
+    }
+
+    fn block(&self) -> &[T] {
+        &self.batch
     }
 }
 
@@ -540,9 +534,7 @@ fn merge_once_prefetch<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result
             sources.push(ChannelSource {
                 rx,
                 batch: Vec::new(),
-                pos: 0,
                 _charge: None,
-                failed: false,
             });
         }
 
@@ -564,7 +556,7 @@ fn merge_once_prefetch<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result
             let mut tree = LoserTree::with_tracking(sources, ctx.mem())?;
             let mut buf: Vec<T> = Vec::with_capacity(bs);
             let mut charge = ctx.mem().try_charge(block_words, "merge output batch")?;
-            while let Some(x) = tree.pop()? {
+            tree.drain(|x| {
                 buf.push(x);
                 if buf.len() == bs {
                     let full = std::mem::replace(&mut buf, Vec::with_capacity(bs));
@@ -573,10 +565,13 @@ fn merge_once_prefetch<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result
                         ctx.mem().try_charge(block_words, "merge output batch")?,
                     );
                     if wtx.send((full, c)).is_err() {
-                        return Ok(()); // writer bailed: its error surfaces below
+                        // The writer bailed: stop merging. Its own error
+                        // outranks this one below.
+                        return Err(EmError::config("merge writer hung up"));
                     }
                 }
-            }
+                Ok(())
+            })?;
             if !buf.is_empty() {
                 let _ = wtx.send((buf, charge));
             }
